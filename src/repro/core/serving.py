@@ -258,7 +258,7 @@ class StreamReport(ReportSlaMixin):
 
 def interpolated_latency_model(
     batch_sizes: Sequence[int], latencies_ms: Sequence[float]
-) -> Callable[[int], float]:
+) -> LatencyModel:
     """Piecewise-linear batch-latency model from measured points."""
     sizes = np.asarray(batch_sizes, dtype=float)
     lats = np.asarray(latencies_ms, dtype=float)
@@ -271,6 +271,39 @@ def interpolated_latency_model(
         return float(np.interp(batch, sizes, lats))
 
     return model
+
+
+def poisson_arrivals(qps: float, duration_s: float, seed: int) -> np.ndarray:
+    """Arrival times (seconds, at least one) of a seeded Poisson
+    stream at ``qps``."""
+    if qps <= 0:
+        raise ValueError("qps must be positive")
+    rng = np.random.default_rng(seed)
+    n = max(1, int(qps * duration_s))
+    return np.cumsum(rng.exponential(1.0 / qps, size=n))
+
+
+def _stream_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
+    """A stream's (times, phase ids), checked for every stream entry
+    point: the batch decision's ``searchsorted`` needs sorted, finite
+    times, and an out-of-range phase id would silently pick another
+    phase's curve."""
+    times = np.asarray(stream.times, dtype=float)
+    phase_ids = np.asarray(stream.phase_ids, dtype=np.int64)
+    name = stream.name
+    if len(times) == 0:
+        raise ValueError(f"arrival stream {name!r} is empty")
+    if not np.isfinite(times).all():
+        raise ValueError(f"arrival stream {name!r} has non-finite times")
+    if np.any(times[1:] < times[:-1]):
+        raise ValueError(f"arrival stream {name!r} is not time-sorted")
+    n_phases = len(stream.phases)
+    if phase_ids.min() < 0 or phase_ids.max() >= n_phases:
+        raise ValueError(
+            f"arrival stream {name!r} has phase ids outside "
+            f"[0, {n_phases})"
+        )
+    return times, phase_ids
 
 
 # ----------------------------------------------------------------------
@@ -342,19 +375,55 @@ def _adaptive_batch(
     return best_size
 
 
+def _next_batch(
+    times: np.ndarray,
+    head: int,
+    gpu_free: float,
+    exec_ms: LatencyModel,
+    policy: BatchingPolicy | ContinuousBatching,
+) -> tuple[float, int]:
+    """The batch decision: (start time, size) of the batch at ``head``.
+
+    ``times`` holds the time-sorted arrivals known so far, ``head`` the
+    oldest one still waiting; the decision looks at nothing beyond
+    ``times``, so it serves both a fully materialized stream and a
+    fleet replica that learns its arrivals one routed query at a time.
+    """
+    first_t = times[head]
+    if isinstance(policy, ContinuousBatching):
+        start = max(gpu_free, first_t)
+        waiting = int(np.searchsorted(times[head:], start, side="right"))
+        if policy.sla_ms is not None:
+            return start, _adaptive_batch(
+                exec_ms, times[head:head + waiting], start,
+                policy.max_batch, policy.sla_ms,
+            )
+        return start, min(waiting, policy.max_batch)
+    # size-or-timeout: the batch closes when full, or at
+    # max(oldest + timeout, gpu_free) — arrivals during the GPU's busy
+    # period keep joining, exactly as a host-side queue would
+    threshold = max(first_t + policy.timeout_ms / 1e3, gpu_free)
+    waiting = int(np.searchsorted(times[head:], threshold, side="right"))
+    if waiting >= policy.max_batch:
+        size = policy.max_batch
+        return max(times[head + size - 1], gpu_free), size
+    return threshold, waiting
+
+
 def _serve_arrays(
     times: np.ndarray,
     phase_ids: np.ndarray,
     exec_ms: Sequence[LatencyModel],
     policy: BatchingPolicy | ContinuousBatching,
-) -> tuple[list[float], list[float], list[int]]:
+    phases: tuple[str, ...],
+) -> BatchBlock:
     """Serve time-sorted arrivals on one GPU; the shared event loop.
 
-    Returns the per-batch columns in dispatch order — start times
-    (seconds), execution seconds, and sizes.  Everything the reports
-    carry (per-query latencies, busy time, utilization) derives from
-    these columns via the pure folds below, which is what lets a
-    recorded run replay field-identical without re-running this loop.
+    Returns the batches in dispatch order — start times (seconds),
+    execution seconds, and sizes.  Everything the reports carry
+    (per-query latencies, busy time, utilization) derives from these
+    columns via the pure folds below, which is what lets a recorded
+    run replay field-identical without re-running this loop.
     A batch's execution time comes from the latency model of its oldest
     query's phase (phases are long relative to batches, so mixed
     batches are rare and the approximation is second-order).
@@ -363,47 +432,23 @@ def _serve_arrays(
     batch_starts: list[float] = []
     batch_exec: list[float] = []
     batch_sizes: list[int] = []
-    continuous = isinstance(policy, ContinuousBatching)
     gpu_free = 0.0
     head = 0
     while head < n:
-        first_t = times[head]
-        if continuous:
-            start = max(gpu_free, first_t)
-            waiting = int(
-                np.searchsorted(times[head:], start, side="right")
-            )
-            waiting = max(waiting, 1)
-            if policy.sla_ms is not None:
-                size = _adaptive_batch(
-                    exec_ms[phase_ids[head]],
-                    times[head:head + waiting], start,
-                    policy.max_batch, policy.sla_ms,
-                )
-            else:
-                size = min(waiting, policy.max_batch)
-        else:
-            # size-or-timeout: the batch closes when full, or at
-            # max(oldest + timeout, gpu_free) — arrivals during the GPU's
-            # busy period keep joining, exactly as a host-side queue would
-            threshold = max(first_t + policy.timeout_ms / 1e3, gpu_free)
-            waiting = int(
-                np.searchsorted(times[head:], threshold, side="right")
-            )
-            waiting = max(waiting, 1)
-            if waiting >= policy.max_batch:
-                size = policy.max_batch
-                start = max(times[head + size - 1], gpu_free)
-            else:
-                size = waiting
-                start = threshold
-        exec_s = exec_ms[phase_ids[head]](size) / 1e3
+        model = exec_ms[phase_ids[head]]
+        start, size = _next_batch(times, head, gpu_free, model, policy)
+        exec_s = model(size) / 1e3
         gpu_free = start + exec_s
         batch_starts.append(float(start))
         batch_exec.append(exec_s)
         batch_sizes.append(size)
         head += size
-    return batch_starts, batch_exec, batch_sizes
+    return BatchBlock(
+        starts=np.asarray(batch_starts, dtype=float),
+        exec_s=np.asarray(batch_exec, dtype=float),
+        sizes=np.asarray(batch_sizes, dtype=np.int64),
+        phases=phases,
+    )
 
 
 def _batch_latencies_ms(
@@ -533,8 +578,7 @@ def _serve_stream_run(
     tenant: str | None = None,
 ) -> tuple[StreamReport, StreamRun]:
     """Run the event loop and package (report, run record)."""
-    if len(stream.times) == 0:
-        raise ValueError(f"arrival stream {stream.name!r} is empty")
+    times, phase_ids = _stream_arrays(stream)
     if stream.duration_s <= 0:
         raise ValueError(
             f"arrival stream {stream.name!r} needs a positive duration_s"
@@ -542,9 +586,6 @@ def _serve_stream_run(
     if policy is None:
         policy = ContinuousBatching(sla_ms=sla_ms)
     models = _resolve_phase_models(latency_ms, stream.phases)
-    times = np.asarray(stream.times, dtype=float)
-    phase_ids = np.asarray(stream.phase_ids)
-    starts, exec_s, sizes = _serve_arrays(times, phase_ids, models, policy)
     phases = tuple(stream.phases)
     meta = {
         "kind": "stream",
@@ -565,16 +606,9 @@ def _serve_stream_run(
     run = StreamRun(
         meta=meta,
         arrivals=ArrivalBlock(
-            times=times,
-            phase_ids=np.asarray(phase_ids, dtype=np.int64),
-            phases=phases,
+            times=times, phase_ids=phase_ids, phases=phases
         ),
-        batches=BatchBlock(
-            starts=np.asarray(starts, dtype=float),
-            exec_s=np.asarray(exec_s, dtype=float),
-            sizes=np.asarray(sizes, dtype=np.int64),
-            phases=phases,
-        ),
+        batches=_serve_arrays(times, phase_ids, models, policy, phases),
     )
     return fold_stream_report(run), run
 
@@ -685,7 +719,7 @@ def serve_tenant_streams(
 
 
 def simulate_serving(
-    batch_latency_ms: Callable[[int], float],
+    batch_latency_ms: LatencyModel,
     *,
     qps: float,
     duration_s: float = 10.0,
@@ -704,17 +738,9 @@ def simulate_serving(
     with a :mod:`repro.traffic` scenario instead.  The run's telemetry
     goes to ``sink`` (or the ambient default).
     """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
     policy = policy or BatchingPolicy()
-    rng = np.random.default_rng(seed)
-    n = max(1, int(qps * duration_s))
-    arrivals = np.cumsum(rng.exponential(1.0 / qps, size=n))
-
-    phase_ids = np.zeros(n, dtype=np.int64)
-    starts, exec_s, sizes = _serve_arrays(
-        arrivals, phase_ids, [batch_latency_ms], policy
-    )
+    arrivals = poisson_arrivals(qps, duration_s, seed)
+    phase_ids = np.zeros(len(arrivals), dtype=np.int64)
     run = StreamRun(
         meta={
             "kind": "serving",
@@ -726,11 +752,8 @@ def simulate_serving(
         arrivals=ArrivalBlock(
             times=arrivals, phase_ids=phase_ids, phases=("all",)
         ),
-        batches=BatchBlock(
-            starts=np.asarray(starts, dtype=float),
-            exec_s=np.asarray(exec_s, dtype=float),
-            sizes=np.asarray(sizes, dtype=np.int64),
-            phases=("all",),
+        batches=_serve_arrays(
+            arrivals, phase_ids, [batch_latency_ms], policy, ("all",)
         ),
     )
     report = fold_serving_report(run)
@@ -739,7 +762,7 @@ def simulate_serving(
 
 
 def max_sustainable_qps(
-    batch_latency_ms: Callable[[int], float],
+    batch_latency_ms: LatencyModel,
     *,
     sla_ms: float,
     percentile: str = "p99",

@@ -26,11 +26,11 @@ from repro.config.model import PAPER_MODEL, DLRMConfig
 from repro.config.scale import SimScale
 from repro.core.pipeline import run_inference
 from repro.core.schemes import Scheme
-from repro.core.serving import interpolated_latency_model
+from repro.core.serving import LatencyModel, interpolated_latency_model
 from repro.dlrm.timing import non_embedding_time
 from repro.gpusim.memo import KernelMemo
 from repro.fleet.report import FleetReport
-from repro.fleet.router import LatencyModel, RoutingPolicy, simulate_fleet
+from repro.fleet.router import RoutingPolicy, simulate_fleet
 from repro.fleet.topology import FleetSpec
 
 #: Per-replica QPS grid, scaled by fleet size for the default fleet grid.

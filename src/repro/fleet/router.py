@@ -1,12 +1,14 @@
 """SLA-aware query routing over a heterogeneous replica fleet.
 
-One Poisson query stream hits a router that assigns each query to a
-replica at arrival time; every replica runs its own size-or-timeout
-batcher (:class:`~repro.core.serving.BatchingPolicy`) and executes
-batches back to back on its GPU, whose batch latency comes from a
-per-replica calibrated model.  This composes the single-GPU serving
-simulation in :mod:`repro.core.serving` into the cluster-scale setting
-the paper's SLA framing targets (DeepRecSys-style serving studies).
+One query stream hits a router that assigns each query to a replica at
+arrival time.  Every replica batches its routed queries with the
+single-GPU batch decision of :mod:`repro.core.serving` — size-or-timeout
+(:class:`~repro.core.serving.BatchingPolicy`) or continuous, optionally
+SLA-adaptive (:class:`~repro.core.serving.ContinuousBatching`) — and
+executes batches back to back on its GPU, whose batch latency comes
+from a per-replica calibrated model.  This composes the single-GPU
+serving simulation into the cluster-scale setting the paper's SLA
+framing targets (DeepRecSys-style serving studies).
 
 Routing policies are pluggable.  ``round-robin`` is the oblivious
 baseline; ``jsq`` (join-shortest-queue) and ``power-of-two`` use queue
@@ -18,11 +20,17 @@ and their tail blows up first.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.serving import (
+    LatencyModel,
+    _next_batch,
+    _stream_arrays,
+    poisson_arrivals,
+)
 from repro.fleet.report import (
     FleetReport,
     fold_fleet_report,
@@ -31,57 +39,60 @@ from repro.fleet.topology import FleetSpec, ReplicaSpec
 from repro.telemetry.events import ArrivalBlock, BatchBlock, FleetRun
 from repro.telemetry.sinks import Sink, emit_run
 
-#: A batch-latency curve: batch size -> milliseconds.
-LatencyModel = Callable[[int], float]
-
 
 class _ReplicaState:
-    """Mutable simulation state of one replica (queue + GPU timeline)."""
+    """Mutable simulation state of one replica: routed arrivals, GPU
+    timeline, and the planned next batch."""
 
     __slots__ = (
-        "spec", "latency_ms", "queue", "gpu_free",
+        "spec", "latency_ms", "times", "phase_ids", "n", "head",
+        "gpu_free", "next_start", "next_size",
         "batch_starts", "batch_exec", "batch_sizes",
-        "member_times", "member_phases",
     )
 
     def __init__(self, spec: ReplicaSpec, latency_ms: LatencyModel) -> None:
         self.spec = spec
         self.latency_ms = latency_ms
-        self.queue: deque[tuple[float, int]] = deque()
+        # routed arrivals in arrival order, which FIFO batching keeps as
+        # batch order: ``times[head:n]`` still wait, the rest are served
+        self.times = np.empty(64)
+        self.phase_ids = np.empty(64, dtype=np.int64)
+        self.n = 0
+        self.head = 0
         self.gpu_free = 0.0
-        # per-batch columns in dispatch order, plus the batched queries'
-        # arrival times/phases flattened in queue-pop order — everything
-        # the report fold (and the telemetry BatchBlock) needs
+        self.next_start = math.inf
+        self.next_size = 0
+        # per-batch columns in dispatch order — with the served arrivals,
+        # everything the report fold (and the telemetry BatchBlock) needs
         self.batch_starts: list[float] = []
         self.batch_exec: list[float] = []
         self.batch_sizes: list[int] = []
-        self.member_times: list[float] = []
-        self.member_phases: list[int] = []
 
     # -- event mechanics ------------------------------------------------
-    def _next_dispatch_at(self) -> float:
-        """When the oldest waiting batch will dispatch (queue non-empty)."""
-        policy = self.spec.batching
-        if len(self.queue) >= policy.max_batch:
-            # full batch: goes as soon as it filled and the GPU is free
-            return max(self.queue[policy.max_batch - 1][0], self.gpu_free)
-        return max(self.queue[0][0] + policy.timeout_ms / 1e3, self.gpu_free)
+    def _plan(self) -> None:
+        """Re-plan the next batch from the arrivals routed so far."""
+        if self.head == self.n:
+            self.next_start = math.inf
+            return
+        start, self.next_size = _next_batch(
+            self.times[:self.n], self.head, self.gpu_free,
+            self.latency_ms, self.spec.batching,
+        )
+        self.next_start = float(start)
 
     def advance(self, now: float) -> None:
-        """Dispatch every batch whose dispatch time is <= ``now``."""
-        while self.queue:
-            at = self._next_dispatch_at()
-            if at > now:
-                break
-            size = min(len(self.queue), self.spec.batching.max_batch)
-            batch = [self.queue.popleft() for _ in range(size)]
+        """Dispatch every planned batch that starts at or before ``now``
+        (a batch due at ``now`` leaves before an arrival at ``now``
+        joins)."""
+        while self.next_start <= now and self.head < self.n:
+            size = self.next_size
             exec_s = self.latency_ms(size) / 1e3
-            self.gpu_free = at + exec_s
-            self.batch_starts.append(float(at))
+            self.gpu_free = self.next_start + exec_s
+            self.batch_starts.append(self.next_start)
             self.batch_exec.append(exec_s)
             self.batch_sizes.append(size)
-            self.member_times.extend(a for a, _ in batch)
-            self.member_phases.extend(p for _, p in batch)
+            self.head += size
+            self._plan()
 
     def to_block(self, phases: tuple[str, ...] = ()) -> BatchBlock:
         """This replica's served batches as a telemetry column block."""
@@ -90,17 +101,23 @@ class _ReplicaState:
             exec_s=np.asarray(self.batch_exec, dtype=float),
             sizes=np.asarray(self.batch_sizes, dtype=np.int64),
             replica=self.spec.name,
-            member_times=np.asarray(self.member_times, dtype=float),
-            member_phases=np.asarray(self.member_phases, dtype=np.int64),
+            member_times=self.times[:self.head].copy(),
+            member_phases=self.phase_ids[:self.head].copy(),
             phases=phases,
         )
 
     def enqueue(self, arrival: float, phase: int = 0) -> None:
-        self.queue.append((arrival, phase))
+        if self.n == len(self.times):
+            self.times = np.concatenate([self.times, self.times])
+            self.phase_ids = np.concatenate([self.phase_ids, self.phase_ids])
+        self.times[self.n] = arrival
+        self.phase_ids[self.n] = phase
+        self.n += 1
+        self._plan()
 
     # -- routing metrics ------------------------------------------------
     def queue_len(self) -> int:
-        return len(self.queue)
+        return self.n - self.head
 
     def backlog_s(self, now: float) -> float:
         """Seconds of already-committed GPU work still ahead of ``now``."""
@@ -236,73 +253,41 @@ def resolve_latency_models(
     return resolved
 
 
-def _route_stream(
+def _route_run(
     fleet: FleetSpec,
     latency_models: Mapping[str, LatencyModel],
     times: np.ndarray,
     phase_ids: np.ndarray,
+    phases: tuple[str, ...],
+    meta: dict,
     *,
-    policy: str | RoutingPolicy,
+    router: RoutingPolicy,
     seed: int,
-) -> tuple[list[_ReplicaState], RoutingPolicy, float]:
-    """Route a time-sorted arrival stream and drain every replica."""
+) -> tuple[FleetReport, FleetRun]:
+    """Route a time-sorted arrival stream, drain every replica, and
+    package (report, run record)."""
     models = resolve_latency_models(fleet, latency_models)
     states = [
         _ReplicaState(replica, models[replica.name])
         for replica in fleet.replicas
     ]
-    router = resolve_policy(policy)
     router.reset(len(states))
     # distinct stream from the arrival-generation rng: sampling policies
     # must not replay the bits that produced the inter-arrival gaps
     rng = np.random.default_rng([seed, 0x617])
 
-    for arrival, phase in zip(times, phase_ids):
-        now = float(arrival)
+    for arrival, phase in zip(times.tolist(), phase_ids.tolist()):
         for state in states:
-            state.advance(now)
-        states[router.select(states, now, rng)].enqueue(now, int(phase))
+            state.advance(arrival)
+        states[router.select(states, arrival, rng)].enqueue(arrival, phase)
     for state in states:
-        state.advance(float("inf"))
-    horizon = max(
-        float(times[-1]), max(s.gpu_free for s in states)
-    )
-    return states, router, horizon
-
-
-def _simulate_fleet_run(
-    fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
-    *,
-    qps: float,
-    duration_s: float = 10.0,
-    policy: str | RoutingPolicy = "jsq",
-    seed: int = 0,
-) -> tuple[FleetReport, FleetRun]:
-    """Route the Poisson stream; package (report, run record)."""
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    rng = np.random.default_rng(seed)
-    n = max(1, int(qps * duration_s))
-    arrivals = np.cumsum(rng.exponential(1.0 / qps, size=n))
-    phase_ids = np.zeros(n, dtype=np.int64)
-    states, router, _horizon = _route_stream(
-        fleet, latency_models, arrivals, phase_ids,
-        policy=policy, seed=seed,
-    )
+        state.advance(math.inf)
     run = FleetRun(
-        meta={
-            "kind": "fleet",
-            "fleet": fleet.name,
-            "policy": router.name,
-            "qps": qps,
-            "seed": seed,
-            "cost_units": float(fleet.cost_units),
-        },
+        meta=meta,
         arrivals=ArrivalBlock(
-            times=arrivals, phase_ids=phase_ids, phases=("all",)
+            times=times, phase_ids=phase_ids, phases=phases
         ),
-        replicas=[s.to_block(("all",)) for s in states],
+        replicas=[s.to_block(phases) for s in states],
     )
     return fold_fleet_report(run), run
 
@@ -326,9 +311,20 @@ def simulate_fleet(
     block + one batch block per replica) goes to ``sink``, falling back
     to the ambient default.
     """
-    report, run = _simulate_fleet_run(
-        fleet, latency_models, qps=qps, duration_s=duration_s,
-        policy=policy, seed=seed,
+    times = poisson_arrivals(qps, duration_s, seed)
+    router = resolve_policy(policy)
+    meta = {
+        "kind": "fleet",
+        "fleet": fleet.name,
+        "policy": router.name,
+        "qps": qps,
+        "seed": seed,
+        "cost_units": float(fleet.cost_units),
+    }
+    report, run = _route_run(
+        fleet, latency_models, times,
+        np.zeros(len(times), dtype=np.int64), ("all",), meta,
+        router=router, seed=seed,
     )
     emit_run(sink, run)
     return report
@@ -346,13 +342,8 @@ def _simulate_fleet_stream_run(
     tenant: str | None = None,
 ) -> tuple[FleetReport, FleetRun]:
     """Route one scenario stream; package (report, run record)."""
-    times = np.asarray(stream.times, dtype=float)
-    if len(times) == 0:
-        raise ValueError(f"arrival stream {stream.name!r} is empty")
-    phase_ids = np.asarray(stream.phase_ids)
-    states, router, _horizon = _route_stream(
-        fleet, latency_models, times, phase_ids, policy=policy, seed=seed,
-    )
+    times, phase_ids = _stream_arrays(stream)
+    router = resolve_policy(policy)
     phases = tuple(stream.phases)
     meta = {
         "kind": "fleet_stream",
@@ -371,16 +362,10 @@ def _simulate_fleet_stream_run(
     }
     if tenant is not None:
         meta["tenant"] = tenant
-    run = FleetRun(
-        meta=meta,
-        arrivals=ArrivalBlock(
-            times=times,
-            phase_ids=np.asarray(phase_ids, dtype=np.int64),
-            phases=phases,
-        ),
-        replicas=[s.to_block(phases) for s in states],
+    return _route_run(
+        fleet, latency_models, times, phase_ids, phases, meta,
+        router=router, seed=seed,
     )
-    return fold_fleet_report(run), run
 
 
 def simulate_fleet_stream(

@@ -28,8 +28,9 @@ which is what makes a recorded run replay field-identical.
 from __future__ import annotations
 
 import base64
+import binascii
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,16 +41,38 @@ SCHEMA_VERSION = 1
 # ----------------------------------------------------------------------
 # column codecs: exact-bit numpy <-> base64 round trips
 # ----------------------------------------------------------------------
+#: Raw bytes per base64 chunk: a multiple of 3, so the chunks join to
+#: exactly the one-shot encoding, and small enough to stay in cache.
+_B64_CHUNK = 3 * 16384
+
+
+def wire_column(array: np.ndarray) -> tuple[dict[str, Any], np.ndarray]:
+    """A column's wire header (``d`` dtype, ``n`` size) and its data as
+    a contiguous little-endian array, ready for :func:`base64_chunks`."""
+    little = np.dtype(array.dtype).newbyteorder("<")
+    arr = np.ascontiguousarray(array, dtype=little)
+    return {"d": little.str.lstrip("<=|"), "n": int(arr.size)}, arr
+
+
+def base64_chunks(arr: np.ndarray) -> Iterator[str]:
+    """The base64 text of a :func:`wire_column` array, chunk by chunk,
+    encoded straight from the array's buffer."""
+    raw = arr.reshape(-1).view(np.uint8)
+    for start in range(0, len(raw), _B64_CHUNK):
+        yield binascii.b2a_base64(
+            raw[start:start + _B64_CHUNK], newline=False
+        ).decode("ascii")
+
+
 def encode_column(array: np.ndarray) -> dict[str, Any]:
     """One numpy column as a JSON-safe dict (little-endian, base64)."""
-    arr = np.ascontiguousarray(array)
-    return {
-        "d": arr.dtype.newbyteorder("<").str.lstrip("<=|"),
-        "n": int(arr.size),
-        "b": base64.b64encode(
-            arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        ).decode("ascii"),
-    }
+    header, arr = wire_column(array)
+    return {**header, "b": "".join(base64_chunks(arr))}
+
+
+#: How a block's ``to_record`` turns a column into its wire value; the
+#: default is :func:`encode_column`, the recorder defers the payload.
+ColumnEncoder = Callable[[np.ndarray], Any]
 
 
 def decode_column(record: Mapping[str, Any]) -> np.ndarray:
@@ -168,16 +191,6 @@ class Complete(Event):
 
 
 @dataclass(frozen=True)
-class Drop(Event):
-    """A query was shed (reserved for admission-control policies)."""
-
-    kind = "drop"
-    t: float = 0.0
-    reason: str = ""
-    phase: str = ""
-
-
-@dataclass(frozen=True)
 class PhaseStart(Event):
     """The arrival stream entered a scenario phase."""
 
@@ -256,7 +269,7 @@ EVENT_TYPES: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (
         RunStart, RunEnd, Arrival, BatchFormed, Dispatch, Complete,
-        Drop, PhaseStart, PhaseEnd, CacheHit, CacheMiss, CacheEvict,
+        PhaseStart, PhaseEnd, CacheHit, CacheMiss, CacheEvict,
         HostFetch, Warm, ReArbitrate,
     )
 }
@@ -317,13 +330,15 @@ class ArrivalBlock:
             t=float(times[-1]), phase=_phase_name(self.phases, previous)
         )
 
-    def to_record(self) -> dict[str, Any]:
+    def to_record(
+        self, column: ColumnEncoder = encode_column
+    ) -> dict[str, Any]:
         return {
             "k": "b",
             "t": self.kind,
             "phases": list(self.phases),
-            "times": encode_column(self.times),
-            "phase_ids": encode_column(compact_ints(self.phase_ids)),
+            "times": column(self.times),
+            "phase_ids": column(compact_ints(self.phase_ids)),
         }
 
     @classmethod
@@ -425,20 +440,22 @@ class BatchBlock:
                     )
             offset += size
 
-    def to_record(self) -> dict[str, Any]:
+    def to_record(
+        self, column: ColumnEncoder = encode_column
+    ) -> dict[str, Any]:
         record: dict[str, Any] = {
             "k": "b",
             "t": self.kind,
             "replica": self.replica,
             "phases": list(self.phases),
-            "starts": encode_column(self.starts),
-            "exec_s": encode_column(self.exec_s),
-            "sizes": encode_column(compact_ints(self.sizes)),
+            "starts": column(self.starts),
+            "exec_s": column(self.exec_s),
+            "sizes": column(compact_ints(self.sizes)),
         }
         if self.member_times is not None:
-            record["member_times"] = encode_column(self.member_times)
+            record["member_times"] = column(self.member_times)
         if self.member_phases is not None:
-            record["member_phases"] = encode_column(
+            record["member_phases"] = column(
                 compact_ints(self.member_phases)
             )
         return record

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config.gpu import A100_SXM4_80GB
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
@@ -10,8 +11,14 @@ from repro.core.serving import (
     max_sustainable_qps,
     resolve_percentile_field,
     serve_stream,
+    serve_tenant_streams,
     simulate_serving,
 )
+from repro.fleet.router import (
+    simulate_fleet_stream,
+    simulate_fleet_tenant_streams,
+)
+from repro.fleet.topology import FleetSpec
 
 
 def linear_model(batch):
@@ -267,3 +274,48 @@ class TestServeStream:
         assert [p.phase for p in report.phases] == ["a", "b"]
         assert all(p.n_queries == 2 for p in report.phases)
         assert report.offered_qps == pytest.approx(2.0)
+
+
+def _flat(batch):
+    return 1.0
+
+
+_FLEET = FleetSpec.homogeneous(A100_SXM4_80GB, 2)
+#: every stream entry point, single-GPU and routed, solo and per tenant
+_STREAM_ENTRY_POINTS = {
+    "serve_stream": lambda stream: serve_stream(_flat, stream),
+    "simulate_fleet_stream": lambda stream: simulate_fleet_stream(
+        _FLEET, {A100_SXM4_80GB.name: _flat}, stream
+    ),
+    "serve_tenant_streams": lambda stream: serve_tenant_streams(
+        {"t": _flat}, {"t": stream}
+    ),
+    "simulate_fleet_tenant_streams":
+        lambda stream: simulate_fleet_tenant_streams(
+            _FLEET, {"t": {A100_SXM4_80GB.name: _flat}}, {"t": stream}
+        ),
+}
+
+
+@pytest.mark.parametrize("serve", list(_STREAM_ENTRY_POINTS.values()),
+                         ids=list(_STREAM_ENTRY_POINTS))
+class TestStreamValidation:
+    """Bad arrival streams are rejected at every stream entry point."""
+
+    def test_unsorted_times_rejected(self, serve):
+        with pytest.raises(ValueError, match="not time-sorted"):
+            serve(_SteadyStream([0.0, 0.2, 0.1], duration_s=1.0))
+
+    def test_non_finite_times_rejected(self, serve):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                serve(_SteadyStream([0.0, 0.1, bad], duration_s=1.0))
+
+    def test_out_of_range_phase_ids_rejected(self, serve):
+        for bad in (-1, 2):
+            stream = _SteadyStream(
+                [0.0, 0.1], phase_ids=[0, bad], phases=("a", "b"),
+                phase_durations=(0.5, 0.5), duration_s=1.0,
+            )
+            with pytest.raises(ValueError, match="phase ids outside"):
+                serve(stream)

@@ -7,7 +7,9 @@ layer must never lose, whatever the workload:
   GPU, no instance is dropped or duplicated;
 * routing — conservation: every request that enters the router is
   served exactly once (after the final drain nothing is left in
-  flight), whatever the policy;
+  flight), whatever the routing policy and replica batcher; each
+  replica serves FIFO, never outgrows ``max_batch``, and every query's
+  latency covers its batch's execution;
 * JSQ — never picks a replica whose queue is strictly longer than
   another's.
 
@@ -18,13 +20,13 @@ the space, from a fixed seed).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.serving import BatchingPolicy
+from repro.core.serving import BatchingPolicy, ContinuousBatching
 from repro.fleet.placement import hetero_lpt_shard
 from repro.fleet.router import (
     JoinShortestQueuePolicy,
     _ReplicaState,
+    _simulate_fleet_stream_run,
     simulate_fleet,
-    simulate_fleet_stream,
 )
 from repro.fleet.topology import FleetSpec, ReplicaSpec
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
@@ -80,18 +82,12 @@ class _Stream:
         self.phase_durations = (self.duration_s,)
 
 
-def _fleet(n_replicas, max_batch, timeout_ms):
+def _fleet(n_replicas, batching):
     gpus = [A100_SXM4_80GB, H100_NVL]
     return FleetSpec(
         name=f"prop{n_replicas}",
         replicas=tuple(
-            ReplicaSpec(
-                name=f"r{i}",
-                gpu=gpus[i % 2],
-                batching=BatchingPolicy(
-                    max_batch=max_batch, timeout_ms=timeout_ms
-                ),
-            )
+            ReplicaSpec(name=f"r{i}", gpu=gpus[i % 2], batching=batching)
             for i in range(n_replicas)
         ),
     )
@@ -103,14 +99,34 @@ _MODELS = {
 }
 
 
+@st.composite
+def _batchers(draw, max_batch):
+    """One of the three batchers a replica can run."""
+    kind = draw(st.sampled_from(["fixed", "continuous", "sla"]))
+    if kind == "fixed":
+        return BatchingPolicy(
+            max_batch=max_batch, timeout_ms=draw(st.floats(0.0, 20.0))
+        )
+    if kind == "continuous":
+        return ContinuousBatching(max_batch=max_batch)
+    return ContinuousBatching(
+        max_batch=max_batch, sla_ms=draw(st.floats(1.0, 50.0))
+    )
+
+
 @given(
-    times=st.lists(
-        st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=400,
+    # bursts of queries 0.1 ms apart: a burst outpaces every replica's
+    # batch execution, so queues build past max_batch
+    bursts=st.lists(
+        st.tuples(
+            st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
+            st.integers(1, 200),
+        ),
+        min_size=1, max_size=10,
     ),
     n_replicas=st.integers(1, 4),
     max_batch=st.integers(1, 64),
-    timeout_ms=st.floats(0.0, 20.0),
+    data=st.data(),
     policy=st.sampled_from(
         ["round-robin", "jsq", "power-of-two", "least-latency"]
     ),
@@ -118,11 +134,13 @@ _MODELS = {
 )
 @settings(**SETTINGS)
 def test_router_conserves_requests(
-    times, n_replicas, max_batch, timeout_ms, policy, seed
+    bursts, n_replicas, max_batch, data, policy, seed
 ):
+    times = [t + 1e-4 * k for t, size in bursts for k in range(size)]
     stream = _Stream(times)
-    fleet = _fleet(n_replicas, max_batch, timeout_ms)
-    report = simulate_fleet_stream(
+    batching = data.draw(_batchers(max_batch), label="batching")
+    fleet = _fleet(n_replicas, batching)
+    report, run = _simulate_fleet_stream_run(
         fleet, _MODELS, stream, policy=policy, seed=seed,
     )
     # in == completed + in-flight, and after the final drain nothing is
@@ -132,6 +150,17 @@ def test_router_conserves_requests(
     # latency is physical: at least one batch execution per query
     min_exec_ms = min(model(1) for model in _MODELS.values())
     assert report.p50_ms >= min_exec_ms - 1e-9
+    for block in run.replicas:
+        members = block.member_times
+        # per-replica FIFO: queries leave in the order they arrived
+        assert np.all(members[1:] >= members[:-1])
+        # no batch outgrows the batcher
+        assert np.all(block.sizes <= max_batch)
+        # every query waits out its whole batch's execution (done -
+        # arrival rounds once, so allow one ulp of the completion time)
+        done = np.repeat(block.done, block.sizes)
+        exec_s = np.repeat(block.exec_s, block.sizes)
+        assert np.all(done - members >= exec_s - np.spacing(done))
 
 
 @given(
@@ -144,7 +173,7 @@ def test_router_conserves_requests(
 )
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_poisson_router_conserves_requests(qps, duration_s, policy, seed):
-    fleet = _fleet(3, 64, 5.0)
+    fleet = _fleet(3, BatchingPolicy(max_batch=64, timeout_ms=5.0))
     report = simulate_fleet(
         fleet, _MODELS, qps=qps, duration_s=duration_s, policy=policy,
         seed=seed,

@@ -1,16 +1,23 @@
 """Routed fleet simulation: policies, dispatch semantics, consistency."""
 
+import numpy as np
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
-from repro.core.serving import BatchingPolicy, simulate_serving
+from repro.core.serving import (
+    BatchingPolicy,
+    ContinuousBatching,
+    _serve_stream_run,
+)
 from repro.fleet.router import (
     ROUTING_POLICIES,
     JoinShortestQueuePolicy,
+    _simulate_fleet_stream_run,
     resolve_policy,
     simulate_fleet,
 )
 from repro.fleet.topology import FleetSpec
+from repro.traffic import generate_arrivals, scenario_profile
 
 
 def a100_model(batch):
@@ -51,16 +58,33 @@ class TestPolicyResolution:
 
 class TestSimulateFleet:
     def test_single_replica_matches_single_gpu_simulation(self):
-        """A 1-replica fleet is exactly the core serving simulator."""
-        fleet = homo_fleet(1)
-        fleet_report = simulate_fleet(
-            fleet, MODELS, qps=2000, duration_s=2.0, seed=5,
+        """A 1-replica fleet batches exactly like the core serving
+        simulator, under either batcher."""
+        def steep(batch):
+            # per-query cost dominates, so SLA-adaptive sizing trims
+            # batches below what plain continuous batching takes
+            return 2.0 + 0.05 * batch
+
+        stream = generate_arrivals(
+            scenario_profile("flash", base_qps=3000, duration_s=1.0),
+            seed=5,
         )
-        solo = simulate_serving(
-            a100_model, qps=2000, duration_s=2.0, policy=POLICY, seed=5,
-        )
-        assert fleet_report.p99_ms == pytest.approx(solo.p99_ms)
-        assert fleet_report.p50_ms == pytest.approx(solo.p50_ms)
+        for batching in (
+            POLICY,
+            ContinuousBatching(max_batch=256),
+            ContinuousBatching(max_batch=256, sla_ms=10.0),
+        ):
+            _, routed = _simulate_fleet_stream_run(
+                FleetSpec.homogeneous(A100_SXM4_80GB, 1, batching=batching),
+                {A100_SXM4_80GB.name: steep}, stream,
+            )
+            _, solo = _serve_stream_run(steep, stream, policy=batching)
+            (block,) = routed.replicas
+            for column in ("starts", "exec_s", "sizes"):
+                assert np.array_equal(
+                    getattr(block, column), getattr(solo.batches, column)
+                ), (batching.label, column)
+            assert np.array_equal(block.member_times, stream.times)
 
     def test_deterministic_by_seed(self):
         a = simulate_fleet(mixed_fleet(), MODELS, qps=3000, seed=7,

@@ -183,6 +183,38 @@ class TestRecorderSink:
         # 2 scalar events + 2 blocks, not thousands of lines
         assert kinds == ["telemetry", "e", "b", "b", "e", "end"]
 
+    def test_streamed_block_line_equals_plain_json(self):
+        # 40k float64 times = 320 kB raw, several base64 chunks
+        n = 40_000
+        block = ArrivalBlock(
+            times=np.cumsum(np.random.default_rng(3).exponential(1e-4, n)),
+            phase_ids=np.repeat(np.arange(4), n // 4),
+            phases=("a", "b", "c", "d"),
+        )
+        buf = io.StringIO()
+        recorder = RecorderSink(buf)
+        recorder.emit_block(block)
+        recorder.close()
+        line = buf.getvalue().splitlines()[1]
+        assert line == json.dumps(block.to_record(), separators=(",", ":"))
+        back = ArrivalBlock.from_record(json.loads(line))
+        assert np.array_equal(back.times, block.times)
+        assert np.array_equal(back.phase_ids, block.phase_ids)
+
+    def test_marker_collision_falls_back_to_plain_json(self):
+        block = ArrivalBlock(
+            times=np.linspace(0.0, 1.0, 5),
+            phase_ids=np.zeros(5, dtype=np.int64),
+            phases=("\x01odd",),
+        )
+        buf = io.StringIO()
+        recorder = RecorderSink(buf)
+        recorder.emit_block(block)
+        recorder.close()
+        line = buf.getvalue().splitlines()[1]
+        assert line == json.dumps(block.to_record(), separators=(",", ":"))
+        assert recorder.records == 1
+
     def test_close_is_idempotent(self):
         buf = io.StringIO()
         recorder = RecorderSink(buf)
