@@ -5,9 +5,11 @@ their wall-clock into the pytest-benchmark JSON trajectory), this file
 benchmarks the *simulator machinery* on one realistic embedding-bag
 launch:
 
-* ``compiled`` — the trace-compiled fast path (tracked metric:
-  micro-ops/second, so future PRs can't silently regress the engine),
-* ``reference`` — the generator-driven reference executor,
+* ``compiled`` — ``run_kernel`` on the compiled trace, the one launch
+  path (tracked metric: micro-ops/second, so future PRs can't silently
+  regress the engine),
+* ``reference`` — ``run_reference_kernel``, the generator-driven test
+  oracle,
 * ``memo`` — a repeated identical launch answered by the kernel memo.
 
 A *sweep* here means what the harness and the fleet planners actually
@@ -28,15 +30,17 @@ from pathlib import Path
 
 from repro.config.gpu import A100_SXM4_80GB
 from repro.config.scale import SimScale
-from repro.core.embedding import kernel_workload, run_table_kernel
+from repro.core.embedding import (
+    kernel_workload,
+    launch_hierarchy,
+    run_table_kernel,
+)
 from repro.core.schemes import Scheme
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
-from repro.gpusim.engine import run_kernel
-from repro.gpusim.hierarchy import MemoryHierarchy
+from repro.gpusim.engine import run_kernel, run_reference_kernel
 from repro.gpusim.memo import KernelMemo
-from repro.kernels import calibration as cal
-from repro.kernels.address_map import STREAMING_RANGE, AddressMap
+from repro.kernels.address_map import AddressMap
 from repro.kernels.registry import build_programs, build_trace
 
 BASELINE_PATH = Path(__file__).parent / "engine_throughput_baseline.json"
@@ -53,20 +57,6 @@ def _workload():
     return kernel_workload(
         A100_SXM4_80GB, scale=SimScale("engine-bench", 4)
     )
-
-
-def _hierarchy(workload, build):
-    hierarchy = MemoryHierarchy(
-        workload.gpu, streaming_range=STREAMING_RANGE
-    )
-    local_lines = build.spilled_regs + (
-        build.prefetch_distance if build.prefetch == "local" else 0
-    )
-    hierarchy.configure_local_memory(
-        local_lines * 128 * build.warps_per_sm,
-        int(workload.full_gpu.l1_bytes * cal.LOCAL_L1_BUDGET_FRACTION),
-    )
-    return hierarchy
 
 
 def _best_of(fn, rounds=3):
@@ -96,19 +86,18 @@ def test_engine_throughput(benchmark):
 
     def run_fast():
         return run_kernel(
-            workload.gpu, _hierarchy(workload, build),
+            workload.gpu, launch_hierarchy(workload, build),
             build_trace(trace, build, amap),
             warps_per_sm=build.warps_per_sm,
             warps_per_block=build.warps_per_block,
         )
 
     def run_ref():
-        return run_kernel(
-            workload.gpu, _hierarchy(workload, build),
+        return run_reference_kernel(
+            workload.gpu, launch_hierarchy(workload, build),
             build_programs(trace, build, amap),
             warps_per_sm=build.warps_per_sm,
             warps_per_block=build.warps_per_block,
-            reference=True,
         )
 
     # the tracked trajectory metric: compiled-path launches

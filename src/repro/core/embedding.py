@@ -106,6 +106,31 @@ def _lowering_fingerprint() -> dict:
 _LOWERING_FP: dict | None = None
 
 
+def launch_hierarchy(
+    workload: KernelWorkload, build: KernelBuild, *, set_aside: int = 0
+) -> MemoryHierarchy:
+    """A fresh memory hierarchy for one table-kernel launch.
+
+    Streaming addresses (offsets/indices/output) take the warm-hit
+    fast path, ``set_aside`` bytes of L2 are reserved for pinning, and
+    local memory is sized for the build's spilled registers (plus the
+    prefetch buffer of local-memory prefetching) at full occupancy.
+    """
+    hierarchy = MemoryHierarchy(
+        workload.gpu,
+        l2_set_aside_bytes=set_aside,
+        streaming_range=STREAMING_RANGE,
+    )
+    local_lines = build.spilled_regs + (
+        build.prefetch_distance if build.prefetch == "local" else 0
+    )
+    hierarchy.configure_local_memory(
+        local_lines * 128 * build.warps_per_sm,
+        int(workload.full_gpu.l1_bytes * cal.LOCAL_L1_BUDGET_FRACTION),
+    )
+    return hierarchy
+
+
 @dataclass(frozen=True)
 class TableKernelResult:
     """One table's kernel execution under one scheme.
@@ -250,16 +275,7 @@ def run_table_kernel(
             seed=seed,
         )
 
-    hierarchy = MemoryHierarchy(
-        gpu, l2_set_aside_bytes=set_aside, streaming_range=STREAMING_RANGE
-    )
-    local_lines = build.spilled_regs + (
-        build.prefetch_distance if build.prefetch == "local" else 0
-    )
-    hierarchy.configure_local_memory(
-        local_lines * 128 * build.warps_per_sm,
-        int(workload.full_gpu.l1_bytes * cal.LOCAL_L1_BUDGET_FRACTION),
-    )
+    hierarchy = launch_hierarchy(workload, build, set_aside=set_aside)
 
     pinned_lines = 0
     pin_cov = 0.0

@@ -419,6 +419,17 @@ def subfleet(fleet: FleetSpec, replicas: Sequence[str]) -> FleetSpec:
     )
 
 
+def _tenant_fleet(
+    fleet: FleetSpec,
+    assignments: Mapping[str, Sequence[str]] | None,
+    tenant: str,
+) -> FleetSpec:
+    """The sub-fleet one tenant is routed over: its assigned replicas,
+    or the whole fleet when it has no assignment."""
+    replicas = assignments.get(tenant) if assignments is not None else None
+    return fleet if replicas is None else subfleet(fleet, replicas)
+
+
 def _simulate_fleet_tenant_stream_runs(
     fleet: FleetSpec,
     latency_models: Mapping[str, Mapping[str, LatencyModel]],
@@ -436,17 +447,12 @@ def _simulate_fleet_tenant_stream_runs(
     reports: dict[str, FleetReport] = {}
     runs: dict[str, FleetRun] = {}
     for name in streams:
-        replicas = (
-            assignments.get(name) if assignments is not None else None
-        )
-        sub = (
-            fleet if replicas is None else subfleet(fleet, replicas)
-        )
         sla = (
             sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
         )
         reports[name], runs[name] = _simulate_fleet_stream_run(
-            sub, latency_models[name], streams[name],
+            _tenant_fleet(fleet, assignments, name),
+            latency_models[name], streams[name],
             policy=policy, sla_ms=sla, seed=seed, tenant=name,
         )
     return reports, runs

@@ -8,7 +8,11 @@ scoreboard-stall attribution.
 
 from repro.gpusim import isa
 from repro.gpusim.cache import SectoredCache
-from repro.gpusim.engine import RawKernelStats, run_kernel
+from repro.gpusim.engine import (
+    RawKernelStats,
+    run_kernel,
+    run_reference_kernel,
+)
 from repro.gpusim.hbm import HbmChannel
 from repro.gpusim.hierarchy import MemoryHierarchy, Tlb
 from repro.gpusim.memo import (
@@ -50,5 +54,6 @@ __all__ = [
     "regs_per_warp_allocated",
     "resident_warps",
     "run_kernel",
+    "run_reference_kernel",
     "set_default_memo",
 ]

@@ -11,31 +11,28 @@ Models what the paper's characterization hinges on, at warp granularity:
   queued blocks onto SMs as slots free up (waves),
 * warps that are ready but not picked accumulate "not selected" stalls.
 
-The engine consumes warp *programs* — either generators yielding the
-5-tuple micro-ops defined in :mod:`repro.gpusim.isa`, or a
-:class:`~repro.gpusim.trace.CompiledTrace` that lowers the whole launch
-into flat arrays — and a :class:`~repro.gpusim.hierarchy.MemoryHierarchy`
-that provides load completion times.  Scheduling is loose-round-robin:
-the ready warp with the earliest ready time issues first; ties break
-deterministically.
+One launch path: :func:`run_kernel` executes a
+:class:`~repro.gpusim.trace.CompiledTrace` — the whole launch lowered
+into flat per-op columns — against a
+:class:`~repro.gpusim.hierarchy.MemoryHierarchy` that provides load
+completion times.  Scheduling is loose-round-robin: the ready warp with
+the earliest ready time issues first; ties break deterministically.
 
-Two executors implement identical semantics:
-
-* the **compiled fast path** (default) indexes a ``CompiledTrace``'s
-  preallocated op array; generator programs are lowered once via
-  :func:`~repro.gpusim.trace.compile_programs` before execution,
-* the **reference path** (``reference=True``, or
-  ``REPRO_GPUSIM_ENGINE=reference``) drives the generators directly —
-  the slow, obviously-correct implementation the fast path is pinned
-  against, field for field, in ``tests/gpusim/test_trace_compile.py``.
+:func:`run_reference_kernel` is the test oracle: a slow, obviously
+correct executor that drives warp programs written as generators of
+the 5-tuple micro-ops defined in :mod:`repro.gpusim.isa`.  The tests
+pin :func:`run_kernel` on the lowered programs to it, field for field
+(``tests/gpusim/test_trace_compile.py``, ``test_differential_fuzz.py``
+and ``test_engine_properties.py``).
 
 Scheduling semantics shared by both executors:
 
-* **ALU-burst coalescing** — consecutive ALU micro-ops with no
-  intervening dependency issue as a single burst; the warp holds its
-  SMSP issue port across the chain (a dependent arithmetic chain never
-  yields the port mid-burst).  This is what lets the trace compiler
-  fuse such ops at compile time without changing any statistic.
+* **ALU bursts** — consecutive ALU micro-ops with no intervening
+  dependency issue as a single burst; the warp holds its SMSP issue
+  port across the chain.  The oracle coalesces such runs as it drives
+  the generators; :class:`~repro.gpusim.trace.TraceBuilder` fuses them
+  when it builds a trace, so :func:`run_kernel` never sees a fusable
+  pair.
 * **one-step scoreboard scheduling** — when the op following a
   dispatch depends on an outstanding scoreboard tag, the stall
   (``ready_time - warp_avail``) is attributed immediately and the warp
@@ -50,10 +47,9 @@ Scheduling semantics shared by both executors:
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.config.gpu import CACHE_LINE_BYTES, GpuSpec
 from repro.gpusim.hierarchy import MemoryHierarchy
@@ -68,19 +64,7 @@ from repro.gpusim.isa import (
     OP_ST_LOCAL,
     OP_ST_SHARED,
 )
-from repro.gpusim.trace import CompiledTrace, compile_programs
-
-WarpProgram = Callable[[], Iterator[tuple]]
-
-#: Environment switch for the default execution path; set to
-#: ``reference`` to run the generator-driven reference implementation.
-ENGINE_ENV = "REPRO_GPUSIM_ENGINE"
-
-
-def _reference_default() -> bool:
-    return os.environ.get(ENGINE_ENV, "").strip().lower() in (
-        "reference", "generator", "slow"
-    )
+from repro.gpusim.trace import CompiledTrace, WarpProgram
 
 
 class _Warp:
@@ -128,75 +112,41 @@ class RawKernelStats:
         return self.ld_global_insts + self.ld_local_insts
 
 
-def run_kernel(
-    gpu: GpuSpec,
-    hierarchy: MemoryHierarchy,
-    programs: Iterable[WarpProgram] | CompiledTrace,
-    *,
-    warps_per_sm: int,
-    warps_per_block: int = 8,
-    name: str = "kernel",
-    reference: bool | None = None,
-) -> RawKernelStats:
-    """Execute one kernel launch and return its raw statistics.
-
-    ``programs`` supplies one generator factory per warp in launch order,
-    or a pre-lowered :class:`CompiledTrace`; consecutive groups of
-    ``warps_per_block`` form thread blocks, which are distributed
-    round-robin over the simulated SMs and streamed into
-    ``warps_per_sm // warps_per_block`` resident slots per SM.
-
-    ``reference`` selects the generator-driven reference executor
-    (default: the compiled fast path, unless ``REPRO_GPUSIM_ENGINE``
-    says otherwise).  Both executors produce identical statistics.
-    """
+def _check_launch(warps_per_sm: int, warps_per_block: int,
+                  n_warps: int) -> None:
     if warps_per_sm <= 0:
         raise ValueError("kernel has zero occupancy (too many registers?)")
-    if reference is None:
-        reference = _reference_default()
-    if isinstance(programs, CompiledTrace):
-        trace = programs
-        if trace.n_warps == 0:
-            raise ValueError("kernel launched with zero warps")
-        if reference:
-            return _run_reference(
-                gpu, hierarchy, trace.to_programs(),
-                warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-                name=name,
-            )
-        return _run_compiled(
-            gpu, hierarchy, trace,
-            warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-            name=name,
+    if warps_per_block < 1:
+        raise ValueError(
+            f"warps_per_block must be >= 1, got {warps_per_block}"
         )
-    programs = list(programs)
-    if not programs:
+    if n_warps == 0:
         raise ValueError("kernel launched with zero warps")
-    if reference:
-        return _run_reference(
-            gpu, hierarchy, programs,
-            warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-            name=name,
-        )
-    return _run_compiled(
-        gpu, hierarchy, compile_programs(programs),
-        warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-        name=name,
-    )
 
 
-# ----------------------------------------------------------------------
-# compiled fast path: index the flat trace op array
-# ----------------------------------------------------------------------
-def _run_compiled(
+def run_kernel(
     gpu: GpuSpec,
     hierarchy: MemoryHierarchy,
     trace: CompiledTrace,
     *,
     warps_per_sm: int,
-    warps_per_block: int,
-    name: str,
+    warps_per_block: int = 8,
+    name: str = "kernel",
 ) -> RawKernelStats:
+    """Execute one kernel launch and return its raw statistics.
+
+    ``trace`` holds one op stream per warp in launch order; consecutive
+    groups of ``warps_per_block`` warps form thread blocks, which are
+    distributed round-robin over the simulated SMs and streamed into
+    ``warps_per_sm // warps_per_block`` resident slots per SM.
+    """
+    if not isinstance(trace, CompiledTrace):
+        raise TypeError(
+            "run_kernel takes a CompiledTrace, got "
+            f"{type(trace).__name__}; lower generator warp programs with "
+            "repro.gpusim.compile_programs first"
+        )
+    _check_launch(warps_per_sm, warps_per_block, trace.n_warps)
     num_sms = gpu.num_sms
     smsps_per_sm = gpu.smsps_per_sm
     n_smsp = num_sms * smsps_per_sm
@@ -303,18 +253,9 @@ def _run_compiled(
         else:
             t_can = t
 
-        end = starts[wi + 1]
         kind, a_v, b_v, tag_v = ops[pc]
         pc += 1
         if kind == OP_ALU:
-            # runtime burst coalescing (same rule as the compiler's
-            # ALU fusion, so fused and unfused traces agree)
-            while pc < end:
-                op = ops[pc]
-                if op[0] != OP_ALU or op_dep[pc] >= 0:
-                    break
-                a_v += op[1]
-                pc += 1
             avail = t_can + a_v
         elif kind == OP_LD_GLOBAL:
             sm = w_sm[wi]
@@ -352,7 +293,7 @@ def _run_compiled(
             raise ValueError(f"unknown micro-op kind {kind}")
         smsp_next_free[smsp] = avail
 
-        if pc == end:
+        if pc == starts[wi + 1]:
             _retire(wi, avail)
             continue
 
@@ -408,17 +349,25 @@ def _run_compiled(
 
 
 # ----------------------------------------------------------------------
-# reference path: drive generator programs directly
+# test oracle: drive generator programs directly
 # ----------------------------------------------------------------------
-def _run_reference(
+def run_reference_kernel(
     gpu: GpuSpec,
     hierarchy: MemoryHierarchy,
-    programs: list[WarpProgram],
+    programs: Iterable[WarpProgram],
     *,
     warps_per_sm: int,
-    warps_per_block: int,
-    name: str,
+    warps_per_block: int = 8,
+    name: str = "kernel",
 ) -> RawKernelStats:
+    """The test oracle: execute generator warp programs directly.
+
+    Same launch semantics and statistics as :func:`run_kernel` on
+    ``compile_programs(programs)``, computed by driving one generator
+    per warp instead of indexing a trace.
+    """
+    programs = list(programs)
+    _check_launch(warps_per_sm, warps_per_block, len(programs))
     num_sms = gpu.num_sms
     smsps_per_sm = gpu.smsps_per_sm
     n_smsp = num_sms * smsps_per_sm

@@ -8,17 +8,17 @@ operand B / scoreboard tag / dependency tag) plus a CSR-style
 ``warp_starts`` index, so the engine's inner loop indexes preallocated
 arrays instead of driving Python generators.
 
-Lowering is mechanical and loss-free; the one compile-time optimization
+Lowering is mechanical and loss-free; the one build-time optimization
 is *ALU fusion*: an ``OP_ALU`` op directly following another ``OP_ALU``
-with no dependency is merged into its predecessor's cycle count.  The
-engine applies the identical fusion rule at runtime on both execution
-paths (see :mod:`repro.gpusim.engine`), so a fused and an unfused trace
-of the same program produce identical statistics — fusion only shrinks
-the op stream and the event count.
+in the same warp with no dependency is merged into its predecessor's
+cycle count, exactly as the generator-driven oracle coalesces such a
+burst at run time (see :mod:`repro.gpusim.engine`).  Every trace is
+built through :class:`TraceBuilder` (or by structured builders that
+emit the same fused columns), so the engine's launch path never sees a
+fusable pair and needs no runtime coalescing.
 
 ``None`` tags/deps are stored as ``-1`` so every column stays a plain
-int column; :func:`compile_programs` converts on the way in and
-:meth:`CompiledTrace.to_programs` converts back on the way out.
+int column; :func:`compile_programs` converts on the way in.
 
 A trace also knows its :meth:`~CompiledTrace.fingerprint` — a content
 hash over the packed columns — a stable identity for deduplication and
@@ -145,25 +145,6 @@ class CompiledTrace:
             self._exec = (ops, counts)
         return self._exec
 
-    def warp_ops(self, warp: int) -> Iterator[tuple]:
-        """The 5-tuple micro-ops of one warp (ISA encoding, with None)."""
-        kind, a, b = self.kind, self.a, self.b
-        tag, dep = self.tag, self.dep
-        for i in range(self.warp_starts[warp], self.warp_starts[warp + 1]):
-            yield (
-                kind[i], a[i], b[i],
-                tag[i] if tag[i] >= 0 else None,
-                dep[i] if dep[i] >= 0 else None,
-            )
-
-    def to_programs(self) -> list[WarpProgram]:
-        """Generator-program adapters (for the reference engine path)."""
-
-        def make(w: int) -> WarpProgram:
-            return lambda: self.warp_ops(w)
-
-        return [make(w) for w in range(self.n_warps)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompiledTrace):
             return NotImplemented
@@ -184,22 +165,19 @@ class CompiledTrace:
 class TraceBuilder:
     """Incremental builder for :class:`CompiledTrace`.
 
-    Structured kernel builders append ops warp by warp; consecutive ALU
-    micro-ops are fused on the fly (``fuse=False`` keeps the stream
-    verbatim, e.g. to pin down fused-versus-unfused equivalence in
-    tests).
+    Structured kernel builders append ops warp by warp; consecutive
+    dependency-free ALU micro-ops within a warp are fused on the fly.
     """
 
-    __slots__ = ("kind", "a", "b", "tag", "dep", "warp_starts", "fuse")
+    __slots__ = ("kind", "a", "b", "tag", "dep", "warp_starts")
 
-    def __init__(self, *, fuse: bool = True) -> None:
+    def __init__(self) -> None:
         self.kind: list[int] = []
         self.a: list[int] = []
         self.b: list[int] = []
         self.tag: list[int] = []
         self.dep: list[int] = []
         self.warp_starts: list[int] = [0]
-        self.fuse = fuse
 
     def append(self, kind: int, a: int = 0, b: int = 0,
                tag: int = -1, dep: int = -1) -> None:
@@ -208,8 +186,7 @@ class TraceBuilder:
             raise ValueError(f"unknown micro-op kind {kind}")
         kinds = self.kind
         if (
-            self.fuse
-            and kind == OP_ALU
+            kind == OP_ALU
             and dep < 0
             and len(kinds) > self.warp_starts[-1]
             and kinds[-1] == OP_ALU
@@ -235,11 +212,6 @@ class TraceBuilder:
         """Close the current warp (empty warps are legal)."""
         self.warp_starts.append(len(self.kind))
 
-    @property
-    def open_warp_ops(self) -> int:
-        """Ops appended to the warp currently being built."""
-        return len(self.kind) - self.warp_starts[-1]
-
     def build(self) -> CompiledTrace:
         if self.warp_starts[-1] != len(self.kind):
             raise ValueError("unterminated warp: call end_warp() first")
@@ -248,17 +220,16 @@ class TraceBuilder:
         )
 
 
-def compile_programs(
-    programs: Iterable[WarpProgram], *, fuse: bool = True
-) -> CompiledTrace:
+def compile_programs(programs: Iterable[WarpProgram]) -> CompiledTrace:
     """Lower generator warp programs into one flat :class:`CompiledTrace`.
 
     Runs each generator exactly once, materializing its op stream into
-    the builder (with ALU fusion unless disabled).  This is how the
-    engine's fast path executes legacy generator programs; structured
-    builders (:mod:`repro.kernels`) skip the generators entirely.
+    the builder (with ALU fusion).  This is how generator programs —
+    the oracle's input — reach :func:`~repro.gpusim.engine.run_kernel`;
+    structured builders (:mod:`repro.kernels`) skip the generators
+    entirely.
     """
-    builder = TraceBuilder(fuse=fuse)
+    builder = TraceBuilder()
     append_op = builder.append_op
     for factory in programs:
         for op in factory():

@@ -1,4 +1,11 @@
-"""Embedding-bag kernel variants and the compiler model."""
+"""Embedding-bag kernel variants and the compiler model.
+
+:func:`build_trace` emits a launch's :class:`~repro.gpusim.CompiledTrace`,
+the encoding :func:`repro.gpusim.run_kernel` executes.  The generator
+builders (:func:`build_programs` and friends) emit the same launch as
+warp programs, the input of the test oracle
+:func:`repro.gpusim.run_reference_kernel`.
+"""
 
 from repro.kernels.address_map import LOCAL_WINDOW_BYTES, AddressMap
 from repro.kernels.compiler import (
@@ -24,7 +31,7 @@ from repro.kernels.pinning import (
     simulate_pin_kernel,
 )
 from repro.kernels.prefetch import build_prefetch_programs
-from repro.kernels.registry import build_programs
+from repro.kernels.registry import build_programs, build_trace
 
 __all__ = [
     "AddressMap",
@@ -35,6 +42,7 @@ __all__ = [
     "build_pin_kernel_programs",
     "build_prefetch_programs",
     "build_programs",
+    "build_trace",
     "compile_kernel",
     "demand_registers",
     "expected_global_loads",

@@ -13,12 +13,12 @@ Per gather-reduce iteration a warp:
 plus register-spill round-trips to local memory when the compiler was
 forced below the kernel's register demand.
 
-Each kernel variant has two interchangeable emitters: the generator
-*programs* (the readable reference the engine's slow path consumes) and
-a structured *trace builder* that lowers the same op stream straight
-into a :class:`~repro.gpusim.trace.CompiledTrace` for the engine's fast
-path — no generators, no per-op tuples, consecutive ALU ops fused at
-compile time.  ``tests/gpusim/test_trace_compile.py`` pins the two
+Each kernel variant has two interchangeable emitters: a structured
+*trace builder* that lowers the op stream straight into the
+:class:`~repro.gpusim.trace.CompiledTrace` the engine executes — no
+generators, no per-op tuples, consecutive ALU ops fused at build time —
+and the generator *programs*, the readable input of the test oracle
+:func:`~repro.gpusim.engine.run_reference_kernel`.  ``tests/gpusim/test_trace_compile.py`` pins the two
 emitters to each other.
 """
 

@@ -104,7 +104,7 @@ def build_pin_kernel_programs(
 def build_pin_kernel_trace(
     rows: np.ndarray, amap: AddressMap, gpu: GpuSpec
 ) -> CompiledTrace:
-    """Compiled trace of the pin kernel (fast-path twin of
+    """Compiled trace of the pin kernel (the launch encoding of
     :func:`build_pin_kernel_programs`)."""
     lines = hot_row_lines(rows, amap)
     n_warps = max(1, gpu.num_sms * gpu.warps_per_block)
@@ -125,11 +125,10 @@ def simulate_pin_kernel(
     amap: AddressMap,
 ) -> RawKernelStats:
     """Run the pin kernel through the engine (for overhead reporting)."""
-    programs = build_pin_kernel_trace(rows, amap, gpu)
     return run_kernel(
         gpu,
         hierarchy,
-        programs,
+        build_pin_kernel_trace(rows, amap, gpu),
         warps_per_sm=gpu.warps_per_block,
         warps_per_block=gpu.warps_per_block,
         name="l2_pin_kernel",

@@ -1,9 +1,9 @@
 """Dispatch from a compiled kernel build to its warp-program builder.
 
-Every kernel variant has two equivalent emitters: generator programs
-(:func:`build_programs`, the engine's reference path) and structured
-compiled traces (:func:`build_trace`, the fast path).  Callers that
-only want the simulation result should prefer :func:`build_trace`.
+Every kernel variant has two equivalent emitters: structured compiled
+traces (:func:`build_trace`, what :func:`repro.gpusim.run_kernel`
+executes) and generator programs (:func:`build_programs`, the input of
+the test oracle :func:`repro.gpusim.run_reference_kernel`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def build_trace(
     *,
     warp_uid_base: int = 0,
 ) -> CompiledTrace:
-    """Compiled warp trace for one table's kernel launch (fast path)."""
+    """Compiled warp trace for one table's kernel launch."""
     if build.prefetch is None:
         return build_base_trace(
             trace, build, amap, warp_uid_base=warp_uid_base

@@ -30,7 +30,7 @@ non-decreasing in every co-runner's load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.config.gpu import A100_SXM4_80GB, GpuSpec
 from repro.config.scale import SimScale
@@ -47,7 +47,11 @@ from repro.datasets.spec import HOTNESS_PRESETS
 from repro.dlrm.timing import KERNEL_LAUNCH_US
 from repro.fleet.capacity import linear_latency_model
 from repro.fleet.report import FleetReport, fold_fleet_report
-from repro.fleet.router import _simulate_fleet_tenant_stream_runs
+from repro.fleet.router import (
+    _simulate_fleet_tenant_stream_runs,
+    _tenant_fleet,
+    resolve_latency_models,
+)
 from repro.fleet.topology import FleetSpec
 from repro.gpusim.memo import KernelMemo
 from repro.memstore.store import HostLink
@@ -549,11 +553,12 @@ def simulate_zoo_fleet(
         contended_models = {
             name: {
                 replica: shared_latency_model(
-                    _resolve_replica_model(latency_models[name], replica,
-                                           fleet),
-                    factors[name].get(replica, 1.0),
+                    model, factors[name].get(replica, 1.0)
                 )
-                for replica in _tenant_replicas(fleet, assignments, name)
+                for replica, model in resolve_latency_models(
+                    _tenant_fleet(fleet, assignments, name),
+                    latency_models[name],
+                ).items()
             }
             for name in zoo.tenant_names
         }
@@ -577,25 +582,3 @@ def simulate_zoo_fleet(
     report = fold_zoo_fleet_report(group)
     emit_run(sink, group)
     return report
-
-
-def _tenant_replicas(
-    fleet: FleetSpec,
-    assignments: Mapping[str, Sequence[str]] | None,
-    tenant: str,
-) -> tuple[str, ...]:
-    if assignments is None or tenant not in assignments:
-        return tuple(r.name for r in fleet.replicas)
-    return tuple(assignments[tenant])
-
-
-def _resolve_replica_model(
-    models: Mapping[str, LatencyModel], replica: str, fleet: FleetSpec
-) -> LatencyModel:
-    """One tenant's curve for one replica (replica name, else GPU name)."""
-    if replica in models:
-        return models[replica]
-    for spec in fleet.replicas:
-        if spec.name == replica and spec.gpu.name in models:
-            return models[spec.gpu.name]
-    raise KeyError(f"no latency model for replica {replica!r}")

@@ -1,13 +1,13 @@
-"""Differential fuzzing: compiled fast path == reference engine.
+"""Differential fuzzing: the launch path == the generator oracle.
 
-``tests/gpusim/test_trace_compile.py`` pins the two executors to
-identical statistics on a curated scheme lineup; this suite widens the
-net with *randomized* kernel configurations — scheme knobs
+``tests/gpusim/test_trace_compile.py`` pins ``run_kernel`` to the test
+oracle ``run_reference_kernel`` on a curated scheme lineup; this suite
+widens the net with *randomized* kernel configurations — scheme knobs
 (prefetch kind/distance, register caps, pinning), dataset hotness,
 and workload shape (batch, pooling, table size, trace seed) are all
-drawn from seeded RNG streams — and asserts, case by case, that the
-compiled executor's ``RawKernelStats`` and the full memory-hierarchy
-counter state are field-identical to the generator-driven reference.
+drawn from seeded RNG streams — and asserts, case by case, that
+``run_kernel``'s ``RawKernelStats`` and the full memory-hierarchy
+counter state are field-identical to the oracle's.
 
 The first :data:`SMOKE_CASES` draws always run (they fold into the
 tier-1 suite and cover every prefetch station); the remaining draws up
@@ -17,7 +17,6 @@ indexed by case number, so case ``k`` is the same kernel configuration
 forever — a failure reproduces with ``-k case47``.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -29,13 +28,8 @@ from repro.core.embedding import kernel_workload
 from repro.core.schemes import Scheme
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
-from repro.gpusim.engine import run_kernel
-from repro.gpusim.hierarchy import MemoryHierarchy
-from repro.gpusim.profiler import HierarchyStats
-from repro.kernels import calibration as cal
-from repro.kernels.address_map import STREAMING_RANGE, AddressMap
-from repro.kernels.pinning import pin_hot_rows, profile_hot_rows
-from repro.kernels.registry import build_programs, build_trace
+from repro.kernels.pinning import profile_hot_rows
+from tests.gpusim.lineup import launch
 
 SMOKE_CASES = 12
 TOTAL_CASES = 50
@@ -122,9 +116,6 @@ def test_compiled_engine_matches_reference(case):
         table_rows=workload.table_rows,
         seed=cfg["trace_seed"],
     )
-    build = scheme.compile(workload.gpu)
-    amap = AddressMap(row_bytes=workload.row_bytes)
-    set_aside = workload.gpu.l2_set_aside_bytes if scheme.l2_pinning else 0
     hot_rows = None
     if scheme.l2_pinning:
         hot_rows = profile_hot_rows(
@@ -135,38 +126,11 @@ def test_compiled_engine_matches_reference(case):
             k=64,
             seed=cfg["trace_seed"],
         )
-
-    results = []
-    for reference in (True, False):
-        hierarchy = MemoryHierarchy(
-            workload.gpu,
-            l2_set_aside_bytes=set_aside,
-            streaming_range=STREAMING_RANGE,
-        )
-        local_lines = build.spilled_regs + (
-            build.prefetch_distance if build.prefetch == "local" else 0
-        )
-        hierarchy.configure_local_memory(
-            local_lines * 128 * build.warps_per_sm,
-            int(workload.full_gpu.l1_bytes * cal.LOCAL_L1_BUDGET_FRACTION),
-        )
-        if hot_rows is not None:
-            pin_hot_rows(hierarchy, hot_rows, amap)
-        programs = (
-            build_programs(trace, build, amap) if reference
-            else build_trace(trace, build, amap)
-        )
-        stats = run_kernel(
-            workload.gpu, hierarchy, programs,
-            warps_per_sm=build.warps_per_sm,
-            warps_per_block=build.warps_per_block,
-            reference=reference,
-            name=f"fuzz{case}",
-        )
-        results.append((
-            dataclasses.asdict(stats),
-            dataclasses.asdict(HierarchyStats.capture(hierarchy)),
-        ))
+    results = [
+        launch(workload, scheme, trace, oracle=oracle, hot_rows=hot_rows,
+               name=f"fuzz{case}")
+        for oracle in (True, False)
+    ]
     assert results[0] == results[1], (
         f"engines diverged on case {case}: {cfg}"
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB
-from repro.gpusim.engine import run_kernel
+from repro.gpusim.engine import run_kernel, run_reference_kernel
 from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.isa import (
     alu,
@@ -14,16 +14,24 @@ from repro.gpusim.isa import (
     st_global,
     st_shared,
 )
+from repro.gpusim.trace import compile_programs
 
 GPU = A100_SXM4_80GB.scaled_slice(1)
 TABLE = 1 << 35
 
 
-def run(programs, warps_per_sm=8, set_aside=0):
+def run(programs, warps_per_sm=8, set_aside=0, *, warps_per_block=1,
+        oracle=False):
+    """Launch generator programs: lowered through ``run_kernel``, or
+    driven directly by the ``run_reference_kernel`` oracle."""
     hierarchy = MemoryHierarchy(GPU, l2_set_aside_bytes=set_aside)
-    stats = run_kernel(
-        GPU, hierarchy, programs,
-        warps_per_sm=warps_per_sm, warps_per_block=1,
+    if oracle:
+        execute, kernel = run_reference_kernel, programs
+    else:
+        execute, kernel = run_kernel, compile_programs(programs)
+    stats = execute(
+        GPU, hierarchy, kernel,
+        warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
     )
     return stats, hierarchy
 
@@ -146,6 +154,22 @@ class TestBlockScheduling:
     def test_zero_occupancy_rejected(self):
         with pytest.raises(ValueError):
             run([program(alu(1))], warps_per_sm=0)
+
+    @pytest.mark.parametrize("warps_per_block", [0, -1])
+    @pytest.mark.parametrize(
+        "oracle", [False, True], ids=["run_kernel", "run_reference_kernel"]
+    )
+    def test_warps_per_block_below_one_rejected(self, oracle, warps_per_block):
+        with pytest.raises(ValueError, match="warps_per_block"):
+            run([program(alu(1))], warps_per_block=warps_per_block,
+                oracle=oracle)
+
+    def test_generator_programs_rejected_by_run_kernel(self):
+        with pytest.raises(TypeError, match="compile_programs"):
+            run_kernel(
+                GPU, MemoryHierarchy(GPU), [program(alu(1))],
+                warps_per_sm=8,
+            )
 
     def test_empty_warp_program_retires_cleanly(self):
         stats, _ = run([program(), program(alu(5))])

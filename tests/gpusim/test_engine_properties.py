@@ -1,20 +1,36 @@
-"""Engine invariants over randomized warp programs (hypothesis)."""
+"""Engine invariants over randomized warp programs (hypothesis), and
+the launch path against the generator oracle on random programs."""
+
+import dataclasses
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.gpu import A100_SXM4_80GB
-from repro.gpusim.engine import run_kernel
+from repro.gpusim.engine import run_kernel, run_reference_kernel
 from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.isa import (
     OP_ALU,
     OP_LD_GLOBAL,
+    OP_LD_LOCAL,
     OP_LD_SHARED,
+    OP_NAMES,
+    OP_PREFETCH_L1,
+    OP_PREFETCH_L2,
     OP_ST_GLOBAL,
+    OP_ST_LOCAL,
+    OP_ST_SHARED,
 )
+from repro.gpusim.profiler import HierarchyStats
+from repro.gpusim.trace import compile_programs
+from repro.kernels.address_map import STREAMING_RANGE, AddressMap
 
 GPU = A100_SXM4_80GB.scaled_slice(1)
 TABLE = 1 << 35
+#: the extended example count runs where the extended differential
+#: fuzz does (``REPRO_FUZZ_FULL=1``)
+_RUN_FULL = os.environ.get("REPRO_FUZZ_FULL", "") == "1"
 
 # one random micro-op: (kind, operand, tag, dep)
 _op = st.tuples(
@@ -45,7 +61,7 @@ def run(raw_programs, warps_per_sm=8):
     programs = [materialize(p) for p in raw_programs]
     hierarchy = MemoryHierarchy(GPU)
     return run_kernel(
-        GPU, hierarchy, programs,
+        GPU, hierarchy, compile_programs(programs),
         warps_per_sm=warps_per_sm, warps_per_block=1,
     )
 
@@ -121,6 +137,97 @@ class TestWaveStress:
         programs = [materialize([(OP_ALU, 1, 0, None)])] * 13
         hierarchy = MemoryHierarchy(GPU)
         stats = run_kernel(
-            GPU, hierarchy, programs, warps_per_sm=8, warps_per_block=4,
+            GPU, hierarchy, compile_programs(programs),
+            warps_per_sm=8, warps_per_block=4,
         )
         assert stats.n_warps == 13
+
+
+# ----------------------------------------------------------------------
+# differential: run_kernel(compile_programs(p)) == run_reference_kernel(p)
+# ----------------------------------------------------------------------
+DIFF_GPUS = [A100_SXM4_80GB.scaled_slice(n) for n in (1, 2)]
+STREAM = STREAMING_RANGE[0]
+
+# one random micro-op over all nine kinds, ALU-heavy so that
+# dependency-free ALU runs (fusable pairs) are common:
+# (kind, ALU cycles, line, streaming address?, sectors, tag, dep)
+_any_op = st.tuples(
+    st.one_of(st.just(OP_ALU), st.sampled_from(sorted(OP_NAMES))),
+    st.integers(1, 8),
+    st.integers(0, 15),      # few lines, so caches and the stream set hit
+    st.booleans(),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+_any_program = st.lists(_any_op, max_size=16)
+_any_programs = st.lists(_any_program, min_size=4, max_size=12)
+
+
+def materialize_any(warp, raw_program):
+    """Generator program for one warp; local ops use its own lines."""
+    def gen():
+        for kind, cycles, line, streaming, sectors, tag, dep in raw_program:
+            addr = (STREAM if streaming else TABLE) + 128 * line
+            if kind == OP_ALU:
+                yield (OP_ALU, cycles, 0, None, dep)
+            elif kind in (OP_LD_LOCAL, OP_ST_LOCAL):
+                yield (kind, AddressMap.local_line(warp, line), sectors,
+                       tag if kind == OP_LD_LOCAL else None, dep)
+            elif kind == OP_LD_GLOBAL:
+                yield (OP_LD_GLOBAL, addr, sectors, tag, dep)
+            elif kind == OP_LD_SHARED:
+                yield (OP_LD_SHARED, 0, 0, tag, dep)
+            elif kind == OP_ST_SHARED:
+                yield (OP_ST_SHARED, 0, 0, None, dep)
+            else:
+                assert kind in (OP_ST_GLOBAL, OP_PREFETCH_L1, OP_PREFETCH_L2)
+                yield (kind, addr, sectors, None, dep)
+    return gen
+
+
+def _diff_hierarchy(gpu, set_aside, local_overflow):
+    hierarchy = MemoryHierarchy(
+        gpu,
+        l2_set_aside_bytes=gpu.l2_set_aside_bytes if set_aside else 0,
+        streaming_range=STREAMING_RANGE,
+    )
+    hierarchy.configure_local_memory(int(local_overflow), 0)
+    return hierarchy
+
+
+@pytest.mark.fuzz
+@settings(max_examples=400 if _RUN_FULL else 60, deadline=None)
+@given(
+    _any_programs,
+    st.sampled_from(DIFF_GPUS),
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 16),
+    st.booleans(),
+    st.booleans(),
+)
+def test_launch_path_matches_oracle_on_random_programs(
+    raw, gpu, warps_per_block, warps_per_sm, set_aside, local_overflow
+):
+    """Lowering then ``run_kernel`` equals the generator oracle, field
+    for field, on both the kernel counters and the hierarchy counters.
+    Random programs hold dependency-free ALU runs, so this also guards
+    build-time ALU fusion against the oracle's runtime coalescing."""
+    out = []
+    for oracle in (True, False):
+        programs = [materialize_any(w, p) for w, p in enumerate(raw)]
+        hierarchy = _diff_hierarchy(gpu, set_aside, local_overflow)
+        execute, kernel = (
+            (run_reference_kernel, programs) if oracle
+            else (run_kernel, compile_programs(programs))
+        )
+        stats = execute(
+            gpu, hierarchy, kernel,
+            warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
+        )
+        out.append((
+            dataclasses.asdict(stats),
+            dataclasses.asdict(HierarchyStats.capture(hierarchy)),
+        ))
+    assert out[0] == out[1]

@@ -1,10 +1,11 @@
-"""Golden-regression snapshots of the serving and fleet simulators.
+"""Golden-regression snapshots of the kernel, serving and fleet simulators.
 
-The serving engine and the routed fleet simulator are deterministic
-under a fixed seed, so their reports can be pinned as small JSON
-summaries.  Any change to the event loop, batch sizing, routing, or
-percentile math shows up here as a diff — deliberate behaviour changes
-regenerate the snapshots with::
+The warp engine, the serving engine and the routed fleet simulator are
+deterministic under a fixed seed, so their results can be pinned as
+small JSON summaries.  Any change to warp scheduling, the memory
+hierarchy, the event loop, batch sizing, routing, or percentile math
+shows up here as a diff — deliberate behaviour changes regenerate the
+snapshots with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/test_golden_regression.py -q
@@ -44,6 +45,15 @@ from repro.traffic import (
     simulate_fleet_scenario,
     simulate_scenario_serving,
 )
+from tests.gpusim.lineup import (
+    DATASETS,
+    PINNED_SCHEME,
+    SCHEMES,
+    launch,
+    lineup_traces,
+    lineup_workload,
+    pinned_hot_rows,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "") == "1"
@@ -55,6 +65,30 @@ def _toy_model(batch: int) -> float:
 
 def _fast_toy_model(batch: int) -> float:
     return 6.0 + 0.006 * batch
+
+
+def _kernels_summary() -> dict:
+    """Absolute kernel counters for the curated scheme lineup.
+
+    ``RawKernelStats`` plus the memory-hierarchy counters of every
+    scheme on both datasets and of the L2-pinned variant.  The
+    differential tests only pin the launch path to the generator
+    oracle; both could drift together, and this snapshot would not.
+    """
+    workload = lineup_workload()
+    traces = lineup_traces(workload)
+    cases = [
+        (scheme, dataset, None) for scheme in SCHEMES for dataset in DATASETS
+    ]
+    cases.append((PINNED_SCHEME, "med_hot", pinned_hot_rows(workload)))
+    summary = {}
+    for scheme, dataset, hot_rows in cases:
+        name = f"{scheme.name}/{dataset}"
+        stats, hierarchy = launch(
+            workload, scheme, traces[dataset], hot_rows=hot_rows, name=name,
+        )
+        summary[name] = {"stats": stats, "hierarchy": hierarchy}
+    return summary
 
 
 def _serving_summary() -> dict:
@@ -233,7 +267,16 @@ def _tuples_to_lists(obj):
     return obj
 
 
+_KERNELS_DRIFT_NOTE = (
+    "kernel counters drifted; a deliberate engine, hierarchy or "
+    "lowering semantics change must regenerate tests/golden/kernels.json "
+    "and also bump MEMO_SCHEMA_VERSION in repro/gpusim/memo.py, or "
+    "disk-memoized timings go stale"
+)
+
+
 @pytest.mark.parametrize("name, build", [
+    ("kernels", _kernels_summary),
     ("serving", _serving_summary),
     ("fleet", _fleet_summary),
     ("memstore", _memstore_summary),
@@ -251,4 +294,9 @@ def test_golden_snapshot(name, build):
         "REPRO_REGEN_GOLDEN=1 to create it"
     )
     golden = json.loads(golden_path.read_text())
-    _assert_matches(summary, golden)
+    try:
+        _assert_matches(summary, golden)
+    except AssertionError as err:
+        if name != "kernels":
+            raise
+        raise AssertionError(f"{err}\n{_KERNELS_DRIFT_NOTE}") from None
