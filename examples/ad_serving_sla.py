@@ -70,7 +70,7 @@ print("\n(* = meets the SLA; latencies in ms. The combined scheme either "
 # GPU sustains at a p99 SLA.
 # ---------------------------------------------------------------------
 from repro.core.serving import (  # noqa: E402  (example flow)
-    interpolated_latency_model,
+    LatencyCurve,
     max_sustainable_qps,
 )
 
@@ -85,7 +85,7 @@ for scheme in (BASE, RPF_L2P_OPTMT):
             "med_hot", scheme, model=model, workload=workload
         )
         points.append(result.batch_latency_ms)
-    latency_model = interpolated_latency_model(BATCHES, points)
+    latency_model = LatencyCurve.interpolated(BATCHES, points)
     qps, reports = max_sustainable_qps(
         latency_model, sla_ms=SLA_MS,
         qps_grid=(2000, 8000, 16000, 32000, 64000),

@@ -16,7 +16,7 @@ Run:  python examples/multi_tenant_zoo.py
 """
 
 from repro import A100_SXM4_80GB, H100_NVL, arbitrate, example_zoo
-from repro.fleet import FleetSpec, place_zoo, tiered_latency_model
+from repro.fleet import FleetSpec, place_zoo
 from repro.memstore import HostLink
 from repro.tenancy import (
     ZooSpec,
@@ -60,11 +60,8 @@ print(f"  leftover {grant.leftover_bytes / 1e6:.1f} MB "
 gpu_cal = calibrations[A100_SXM4_80GB.name]
 link = HostLink.pcie(A100_SXM4_80GB)
 models = {
-    name: tiered_latency_model(
-        gpu_cal[name].latency_ms,
-        host_us_per_query=curves[name].host_us_per_query(
-            grant.grant(name).granted_rows, link
-        ),
+    name: gpu_cal[name].latency_ms.plus_per_query(
+        curves[name].host_us_per_query(grant.grant(name).granted_rows, link)
     )
     for name in zoo.tenant_names
 }
@@ -113,11 +110,8 @@ for shard in placement.shards:
     print(f"  {shard.replica_name:18s} {tenants:24s} "
           f"{shard.effective_us / 1e3:6.2f} ms/batch")
 fleet_models = {
-    name: {g: tiered_latency_model(
-        calibrations[g][name].latency_ms,
-        host_us_per_query=curves[name].host_us_per_query(
-            grant.grant(name).granted_rows, link
-        ),
+    name: {g: calibrations[g][name].latency_ms.plus_per_query(
+        curves[name].host_us_per_query(grant.grant(name).granted_rows, link)
     ) for g in calibrations}
     for name in zoo.tenant_names
 }

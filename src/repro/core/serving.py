@@ -23,16 +23,18 @@ Two batch-formation disciplines are supported:
   ``sla_ms`` set, the batch size additionally adapts to SLA pressure
   (see the class docstring).
 
-The executor's batch-latency function is pluggable; by default it
-interpolates between measured batch sizes so one expensive simulation
-sweep serves many load points.  Per-phase latency models (one curve per
-scenario phase, e.g. under popularity drift) are accepted wherever a
-single curve is.
+Batch latency is a validated :class:`LatencyCurve` table, typically
+interpolated between measured batch sizes so one expensive simulation
+sweep serves many load points; entry points tabulate a plain callable
+once.  Per-phase curves (one per scenario phase, e.g. under popularity
+drift) are accepted wherever a single curve is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,8 +42,116 @@ import numpy as np
 from repro.telemetry.events import ArrivalBlock, BatchBlock, StreamRun
 from repro.telemetry.sinks import Sink, emit_run
 
-#: A batch-latency curve: batch size -> milliseconds.
-LatencyModel = Callable[[int], float]
+#: Largest batch a curve is tabulated for by default, and the default
+#: ``max_batch`` of both batchers.
+MAX_BATCH = 2048
+
+
+def _check_max_batch(max_batch) -> None:
+    if isinstance(max_batch, bool) or not isinstance(max_batch, Integral):
+        raise ValueError(f"max_batch must be an integer, got {max_batch!r}")
+    if max_batch < 1:
+        raise ValueError("max_batch must be >= 1")
+
+
+def _check_sla_ms(sla_ms: float | None) -> None:
+    if sla_ms is not None and not (math.isfinite(sla_ms) and sla_ms > 0):
+        raise ValueError(
+            f"sla_ms must be finite and positive when given, got {sla_ms!r}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class LatencyCurve:
+    """A batch-latency curve: milliseconds for batch sizes 1..max_batch.
+
+    ``table_ms[b - 1]`` is batch ``b``'s latency; the constructor
+    rejects a table that is not finite, positive and non-decreasing,
+    naming the first batch size at fault.  ``ms`` holds the same values
+    as Python floats indexed by batch size (``ms[0]`` is a 0.0 pad),
+    for the event loop's scalar reads.
+    """
+
+    table_ms: np.ndarray
+    ms: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        table = np.array(self.table_ms, dtype=float)
+        if table.ndim != 1 or len(table) == 0:
+            raise ValueError("a latency curve needs a non-empty 1-d table")
+        fault = ~(np.isfinite(table) & (table > 0))
+        fault[1:] |= table[1:] < table[:-1]
+        if fault.any():
+            b = int(np.argmax(fault)) + 1
+            raise ValueError(
+                f"latency curve at batch {b} is {table[b - 1]} ms; entries "
+                f"must be finite, > 0 and non-decreasing"
+            )
+        table.flags.writeable = False
+        object.__setattr__(self, "table_ms", table)
+        object.__setattr__(self, "ms", (0.0, *table.tolist()))
+
+    @property
+    def max_batch(self) -> int:
+        return len(self.table_ms)
+
+    def __call__(self, batch: int) -> float:
+        if not 1 <= batch <= self.max_batch or batch != int(batch):
+            raise ValueError(
+                f"batch {batch!r} is outside this curve's 1..{self.max_batch}"
+            )
+        return self.ms[int(batch)]
+
+    @classmethod
+    def tabulate(cls, fn: Callable[[int], float],
+                 max_batch: int = MAX_BATCH) -> LatencyCurve:
+        """Evaluate ``fn`` once per batch size 1..``max_batch``."""
+        return cls([fn(batch) for batch in range(1, max_batch + 1)])
+
+    @classmethod
+    def interpolated(cls, batch_sizes: Sequence[int],
+                     latencies_ms: Sequence[float]) -> LatencyCurve:
+        """Piecewise-linear through measured points, flat outside them."""
+        sizes = np.asarray(batch_sizes, dtype=float)
+        lats = np.asarray(latencies_ms, dtype=float)
+        if len(sizes) != len(lats) or len(sizes) < 1:
+            raise ValueError("need matching, non-empty calibration points")
+        order = np.argsort(sizes)
+        return cls(np.interp(
+            np.arange(1, MAX_BATCH + 1), sizes[order], lats[order]
+        ))
+
+    def scaled(self, factor: float) -> LatencyCurve:
+        """Every batch's latency times ``factor``."""
+        return LatencyCurve(self.table_ms * factor)
+
+    def plus_per_query(self, us: float) -> LatencyCurve:
+        """Add ``us`` microseconds per query in the batch, e.g. a
+        memstore's host-fetch cost (bandwidth-bound, so linear)."""
+        if us < 0:
+            raise ValueError(f"per-query cost must be >= 0 us, got {us}")
+        batch = np.arange(1, self.max_batch + 1, dtype=float)
+        return LatencyCurve(self.table_ms + us * batch / 1e3)
+
+
+#: A curve as entry points accept it: a table, or a callable to tabulate.
+CurveLike = LatencyCurve | Callable[[int], float]
+#: One curve for all phases, one per phase, or a mapping by phase name.
+PhaseCurves = CurveLike | Sequence[CurveLike] | Mapping[str, CurveLike]
+
+
+def resolve_curve(latency_ms: CurveLike, max_batch: int) -> LatencyCurve:
+    """The boundary conversion: a :class:`LatencyCurve` covering
+    1..``max_batch`` as is, any other callable tabulated over it."""
+    if not isinstance(latency_ms, LatencyCurve):
+        return LatencyCurve.tabulate(latency_ms, max_batch)
+    if latency_ms.max_batch < max_batch:
+        raise ValueError(
+            f"latency curve covers batches 1..{latency_ms.max_batch}, "
+            f"fewer than max_batch={max_batch}"
+        )
+    return latency_ms
+
 
 _PERCENTILE_FIELDS = {"p50": "p50_ms", "p95": "p95_ms", "p99": "p99_ms"}
 
@@ -70,14 +180,14 @@ def resolve_percentile_field(percentile: str) -> str:
 class BatchingPolicy:
     """Collect up to ``max_batch`` queries or wait at most ``timeout_ms``."""
 
-    max_batch: int = 2048
+    max_batch: int = MAX_BATCH
     timeout_ms: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
+        _check_max_batch(self.max_batch)
+        if not (math.isfinite(self.timeout_ms) and self.timeout_ms >= 0):
+            raise ValueError(f"timeout_ms must be finite and >= 0, "
+                             f"got {self.timeout_ms!r}")
 
     @property
     def label(self) -> str:
@@ -101,14 +211,12 @@ class ContinuousBatching:
     full width, maximizing goodput of the queries behind it.
     """
 
-    max_batch: int = 2048
+    max_batch: int = MAX_BATCH
     sla_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.sla_ms is not None and self.sla_ms <= 0:
-            raise ValueError("sla_ms must be positive when given")
+        _check_max_batch(self.max_batch)
+        _check_sla_ms(self.sla_ms)
 
     @property
     def label(self) -> str:
@@ -256,23 +364,6 @@ class StreamReport(ReportSlaMixin):
         return find_phase(self.phases, name)
 
 
-def interpolated_latency_model(
-    batch_sizes: Sequence[int], latencies_ms: Sequence[float]
-) -> LatencyModel:
-    """Piecewise-linear batch-latency model from measured points."""
-    sizes = np.asarray(batch_sizes, dtype=float)
-    lats = np.asarray(latencies_ms, dtype=float)
-    if len(sizes) != len(lats) or len(sizes) < 1:
-        raise ValueError("need matching, non-empty calibration points")
-    order = np.argsort(sizes)
-    sizes, lats = sizes[order], lats[order]
-
-    def model(batch: int) -> float:
-        return float(np.interp(batch, sizes, lats))
-
-    return model
-
-
 def poisson_arrivals(qps: float, duration_s: float, seed: int) -> np.ndarray:
     """Arrival times (seconds, at least one) of a seeded Poisson
     stream at ``qps``."""
@@ -283,11 +374,16 @@ def poisson_arrivals(qps: float, duration_s: float, seed: int) -> np.ndarray:
     return np.cumsum(rng.exponential(1.0 / qps, size=n))
 
 
-def _stream_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
-    """A stream's (times, phase ids), checked for every stream entry
-    point: the batch decision's ``searchsorted`` needs sorted, finite
-    times, and an out-of-range phase id would silently pick another
-    phase's curve."""
+def _stream_entry(
+    stream, sla_ms: float | None, phase_hit_rates: Sequence[float] | None,
+    tenant: str | None, **head,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """A stream's (times, phase ids) and run meta (``head``, then the
+    stream fields), checked for every stream entry point: the batch
+    decision's ``searchsorted`` needs sorted, finite times, an
+    out-of-range phase id would silently pick another phase's curve, and
+    goodput divides by the duration."""
+    _check_sla_ms(sla_ms)
     times = np.asarray(stream.times, dtype=float)
     phase_ids = np.asarray(stream.phase_ids, dtype=np.int64)
     name = stream.name
@@ -303,32 +399,29 @@ def _stream_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
             f"arrival stream {name!r} has phase ids outside "
             f"[0, {n_phases})"
         )
-    return times, phase_ids
+    if not stream.duration_s > 0:
+        raise ValueError(f"arrival stream {name!r} needs a positive duration_s")
+    meta = {
+        **head,
+        "sla_ms": sla_ms,
+        "duration_s": stream.duration_s,
+        "phases": list(stream.phases),
+        "phase_durations": [float(d) for d in stream.phase_durations],
+        "phase_hit_rates": (
+            None if phase_hit_rates is None
+            else [float(r) for r in phase_hit_rates]
+        ),
+    }
+    if tenant is not None:
+        meta["tenant"] = tenant
+    return times, phase_ids, meta
 
 
 # ----------------------------------------------------------------------
 # the event loop
 # ----------------------------------------------------------------------
-def _fits_within(exec_ms: LatencyModel, size: int, budget_ms: float) -> int:
-    """Largest batch in [1, size] with ``exec_ms(batch) <= budget_ms``
-    (0 if none).  Assumes ``exec_ms`` is non-decreasing, true of every
-    calibrated curve."""
-    if exec_ms(size) <= budget_ms:
-        return size
-    if exec_ms(1) > budget_ms:
-        return 0
-    lo, hi = 1, size  # invariant: exec(lo) fits, exec(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exec_ms(mid) <= budget_ms:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _adaptive_batch(
-    exec_ms: LatencyModel,
+    curve: LatencyCurve,
     queue_times: np.ndarray,
     start: float,
     max_batch: int,
@@ -345,6 +438,8 @@ def _adaptive_batch(
     "take everything"; once the whole queue is past saving every
     candidate scores zero and the tie-break drains at full width, which
     maximizes goodput of the queries arriving behind the backlog.
+    The sweet spots are one ``searchsorted`` each: the curve's table is
+    non-decreasing, so the batches fitting a budget are a prefix of it.
     """
     waiting = min(len(queue_times), max_batch)
     if waiting <= 1:
@@ -355,13 +450,14 @@ def _adaptive_batch(
         candidates.add(size)
         size //= 2
     slack_ms = sla_ms - (start - float(queue_times[0])) * 1e3
+    fits = curve.table_ms[:waiting]
     for budget in (sla_ms, slack_ms):
-        fit = _fits_within(exec_ms, waiting, budget)
+        fit = int(np.searchsorted(fits, budget, side="right"))
         if fit:
             candidates.add(fit)
     best_size, best_key = waiting, (-1.0, -1.0)
     for size in sorted(candidates):
-        exec_batch_ms = exec_ms(size)
+        exec_batch_ms = curve.ms[size]
         cutoff = start + (exec_batch_ms - sla_ms) / 1e3
         hits = size - int(
             np.searchsorted(queue_times[:size], cutoff, side="left")
@@ -379,7 +475,7 @@ def _next_batch(
     times: np.ndarray,
     head: int,
     gpu_free: float,
-    exec_ms: LatencyModel,
+    curve: LatencyCurve,
     policy: BatchingPolicy | ContinuousBatching,
 ) -> tuple[float, int]:
     """The batch decision: (start time, size) of the batch at ``head``.
@@ -395,7 +491,7 @@ def _next_batch(
         waiting = int(np.searchsorted(times[head:], start, side="right"))
         if policy.sla_ms is not None:
             return start, _adaptive_batch(
-                exec_ms, times[head:head + waiting], start,
+                curve, times[head:head + waiting], start,
                 policy.max_batch, policy.sla_ms,
             )
         return start, min(waiting, policy.max_batch)
@@ -413,7 +509,7 @@ def _next_batch(
 def _serve_arrays(
     times: np.ndarray,
     phase_ids: np.ndarray,
-    exec_ms: Sequence[LatencyModel],
+    curves: Sequence[LatencyCurve],
     policy: BatchingPolicy | ContinuousBatching,
     phases: tuple[str, ...],
 ) -> BatchBlock:
@@ -424,7 +520,7 @@ def _serve_arrays(
     (per-query latencies, busy time, utilization) derives from these
     columns via the pure folds below, which is what lets a recorded
     run replay field-identical without re-running this loop.
-    A batch's execution time comes from the latency model of its oldest
+    A batch's execution time comes from the latency curve of its oldest
     query's phase (phases are long relative to batches, so mixed
     batches are rare and the approximation is second-order).
     """
@@ -435,9 +531,9 @@ def _serve_arrays(
     gpu_free = 0.0
     head = 0
     while head < n:
-        model = exec_ms[phase_ids[head]]
-        start, size = _next_batch(times, head, gpu_free, model, policy)
-        exec_s = model(size) / 1e3
+        curve = curves[phase_ids[head]]
+        start, size = _next_batch(times, head, gpu_free, curve, policy)
+        exec_s = curve.ms[size] / 1e3
         gpu_free = start + exec_s
         batch_starts.append(float(start))
         batch_exec.append(exec_s)
@@ -472,25 +568,25 @@ def _batch_latencies_ms(
 
 
 def _resolve_phase_models(
-    latency_ms: LatencyModel | Sequence[LatencyModel]
-                | Mapping[str, LatencyModel],
-    phases: Sequence[str],
-) -> list[LatencyModel]:
-    """One latency curve per phase, from a single curve, a sequence
-    (indexed like ``phases``), or a mapping by phase name."""
+    latency_ms: PhaseCurves, phases: Sequence[str], max_batch: int
+) -> list[LatencyCurve]:
+    """One :class:`LatencyCurve` per phase covering 1..``max_batch``,
+    from a single curve, a sequence (indexed like ``phases``), or a
+    mapping by phase name."""
     if callable(latency_ms):
-        return [latency_ms] * len(phases)
+        return [resolve_curve(latency_ms, max_batch)] * len(phases)
     if isinstance(latency_ms, Mapping):
         missing = [p for p in phases if p not in latency_ms]
         if missing:
             raise KeyError(f"no latency model for phases {missing}")
-        return [latency_ms[p] for p in phases]
-    models = list(latency_ms)
+        models = [latency_ms[p] for p in phases]
+    else:
+        models = list(latency_ms)
     if len(models) != len(phases):
         raise ValueError(
             f"{len(models)} latency models for {len(phases)} phases"
         )
-    return models
+    return [resolve_curve(m, max_batch) for m in models]
 
 
 def fold_stream_report(run: StreamRun) -> StreamReport:
@@ -567,8 +663,7 @@ def fold_serving_report(run: StreamRun) -> ServingReport:
 
 
 def _serve_stream_run(
-    latency_ms: LatencyModel | Sequence[LatencyModel]
-                | Mapping[str, LatencyModel],
+    latency_ms: PhaseCurves,
     stream,
     *,
     policy: BatchingPolicy | ContinuousBatching | None = None,
@@ -578,44 +673,26 @@ def _serve_stream_run(
     tenant: str | None = None,
 ) -> tuple[StreamReport, StreamRun]:
     """Run the event loop and package (report, run record)."""
-    times, phase_ids = _stream_arrays(stream)
-    if stream.duration_s <= 0:
-        raise ValueError(
-            f"arrival stream {stream.name!r} needs a positive duration_s"
-        )
     if policy is None:
         policy = ContinuousBatching(sla_ms=sla_ms)
-    models = _resolve_phase_models(latency_ms, stream.phases)
+    times, phase_ids, meta = _stream_entry(
+        stream, sla_ms, phase_hit_rates, tenant, kind="stream",
+        scenario=stream.name, scheme_name=scheme_name, batcher=policy.label,
+    )
+    curves = _resolve_phase_models(latency_ms, stream.phases, policy.max_batch)
     phases = tuple(stream.phases)
-    meta = {
-        "kind": "stream",
-        "scenario": stream.name,
-        "scheme_name": scheme_name,
-        "batcher": policy.label,
-        "sla_ms": sla_ms,
-        "duration_s": stream.duration_s,
-        "phases": list(phases),
-        "phase_durations": [float(d) for d in stream.phase_durations],
-        "phase_hit_rates": (
-            None if phase_hit_rates is None
-            else [float(r) for r in phase_hit_rates]
-        ),
-    }
-    if tenant is not None:
-        meta["tenant"] = tenant
     run = StreamRun(
         meta=meta,
         arrivals=ArrivalBlock(
             times=times, phase_ids=phase_ids, phases=phases
         ),
-        batches=_serve_arrays(times, phase_ids, models, policy, phases),
+        batches=_serve_arrays(times, phase_ids, curves, policy, phases),
     )
     return fold_stream_report(run), run
 
 
 def serve_stream(
-    latency_ms: LatencyModel | Sequence[LatencyModel]
-                | Mapping[str, LatencyModel],
+    latency_ms: PhaseCurves,
     stream,
     *,
     policy: BatchingPolicy | ContinuousBatching | None = None,
@@ -648,8 +725,7 @@ def serve_stream(
 
 
 def _serve_tenant_stream_runs(
-    latency_models: Mapping[str, LatencyModel | Sequence[LatencyModel]
-                            | Mapping[str, LatencyModel]],
+    latency_models: Mapping[str, PhaseCurves],
     streams: Mapping[str, object],
     *,
     policies: Mapping[str, BatchingPolicy | ContinuousBatching]
@@ -685,8 +761,7 @@ def _serve_tenant_stream_runs(
 
 
 def serve_tenant_streams(
-    latency_models: Mapping[str, LatencyModel | Sequence[LatencyModel]
-                            | Mapping[str, LatencyModel]],
+    latency_models: Mapping[str, PhaseCurves],
     streams: Mapping[str, object],
     *,
     policies: Mapping[str, BatchingPolicy | ContinuousBatching]
@@ -719,7 +794,7 @@ def serve_tenant_streams(
 
 
 def simulate_serving(
-    batch_latency_ms: LatencyModel,
+    batch_latency_ms: CurveLike,
     *,
     qps: float,
     duration_s: float = 10.0,
@@ -739,6 +814,7 @@ def simulate_serving(
     goes to ``sink`` (or the ambient default).
     """
     policy = policy or BatchingPolicy()
+    curve = resolve_curve(batch_latency_ms, policy.max_batch)
     arrivals = poisson_arrivals(qps, duration_s, seed)
     phase_ids = np.zeros(len(arrivals), dtype=np.int64)
     run = StreamRun(
@@ -753,7 +829,7 @@ def simulate_serving(
             times=arrivals, phase_ids=phase_ids, phases=("all",)
         ),
         batches=_serve_arrays(
-            arrivals, phase_ids, [batch_latency_ms], policy, ("all",)
+            arrivals, phase_ids, [curve], policy, ("all",)
         ),
     )
     report = fold_serving_report(run)
@@ -762,7 +838,7 @@ def simulate_serving(
 
 
 def max_sustainable_qps(
-    batch_latency_ms: LatencyModel,
+    batch_latency_ms: CurveLike,
     *,
     sla_ms: float,
     percentile: str = "p99",

@@ -14,7 +14,6 @@ from repro.fleet.capacity import (
     linear_latency_model,
     replicas_needed,
     tiered_fleet_models,
-    tiered_latency_model,
 )
 from repro.fleet.placement import (
     HeteroPlacement,
@@ -88,5 +87,4 @@ __all__ = [
     "simulate_fleet_tenant_streams",
     "subfleet",
     "tiered_fleet_models",
-    "tiered_latency_model",
 ]

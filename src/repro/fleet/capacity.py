@@ -26,7 +26,7 @@ from repro.config.model import PAPER_MODEL, DLRMConfig
 from repro.config.scale import SimScale
 from repro.core.pipeline import run_inference
 from repro.core.schemes import Scheme
-from repro.core.serving import LatencyModel, interpolated_latency_model
+from repro.core.serving import CurveLike, LatencyCurve
 from repro.dlrm.timing import non_embedding_time
 from repro.gpusim.memo import KernelMemo
 from repro.fleet.report import FleetReport
@@ -39,7 +39,7 @@ _PER_REPLICA_GRID = (500, 1000, 2000, 4000, 8000, 16000, 32000, 64000)
 
 def _simulate_capped(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     *,
     qps: float,
     duration_s: float,
@@ -73,7 +73,7 @@ def calibrated_latency_model(
     num_sms: int = 2,
     seed: int = 0,
     memo: KernelMemo | None = None,
-) -> LatencyModel:
+) -> LatencyCurve:
     """Batch-latency curve from full pipeline simulations.
 
     Runs the end-to-end inference simulation at each calibration batch
@@ -93,46 +93,19 @@ def calibrated_latency_model(
             seed=seed, memo=memo,
         )
         points.append(result.batch_latency_ms)
-    return interpolated_latency_model(batch_sizes, points)
-
-
-def tiered_latency_model(
-    base_model: LatencyModel,
-    *,
-    host_us_per_query: float,
-) -> LatencyModel:
-    """Wrap a batch-latency curve with the host-tier fetch cost.
-
-    ``host_us_per_query`` comes from a memstore calibration — e.g. a
-    :class:`~repro.fleet.placement.TieredShard`'s per-query host time,
-    or a :class:`~repro.memstore.store.TierStats` divided by its batch.
-    HBM-miss traffic is bandwidth-bound and per-batch link latency is
-    second-order, so the penalty scales linearly in batch size — the
-    same shape assumption :func:`linear_latency_model` makes for the
-    embedding stage itself.  A fully-resident plan has
-    ``host_us_per_query == 0`` and returns the base curve unchanged.
-    """
-    if host_us_per_query < 0:
-        raise ValueError("host_us_per_query must be >= 0")
-    if host_us_per_query == 0:
-        return base_model
-
-    def latency_ms(batch: int) -> float:
-        return base_model(batch) + host_us_per_query * batch / 1e3
-
-    return latency_ms
+    return LatencyCurve.interpolated(batch_sizes, points)
 
 
 def tiered_fleet_models(
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     placement,
-) -> dict[str, LatencyModel]:
+) -> dict[str, LatencyCurve]:
     """Apply a :class:`~repro.fleet.placement.TieredPlacement`'s host
     penalties to per-GPU batch-latency curves.
 
-    Each GPU name's curve is wrapped with the worst per-query host time
-    of the shards it hosts (conservative when one GPU type holds
-    several shards); GPUs without shards pass through unchanged, and a
+    Each GPU name's curve gains the worst per-query host time of the
+    shards it hosts (conservative when one GPU type holds several
+    shards); GPUs without shards pass through unchanged, and a
     shard whose GPU has no curve raises — the host penalty must never
     silently drop out of an over-HBM simulation.  The result feeds any
     planner or router entry point unchanged — this is how an over-HBM
@@ -149,9 +122,10 @@ def tiered_fleet_models(
             f"no latency model for placed GPUs {missing}; "
             f"known: {sorted(latency_models)}"
         )
-    out = dict(latency_models)
+    out = {name: m if isinstance(m, LatencyCurve) else LatencyCurve.tabulate(m)
+           for name, m in latency_models.items()}
     for name, host in worst.items():
-        out[name] = tiered_latency_model(out[name], host_us_per_query=host)
+        out[name] = out[name].plus_per_query(host)
     return out
 
 
@@ -161,7 +135,7 @@ def linear_latency_model(
     emb_us: float,
     emb_batch: int,
     model: DLRMConfig = PAPER_MODEL,
-) -> LatencyModel:
+) -> LatencyCurve:
     """Batch-latency curve from a single calibrated embedding point.
 
     The embedding stage is bandwidth-bound and scales ~linearly in batch
@@ -177,7 +151,7 @@ def linear_latency_model(
         non_emb = non_embedding_time(gpu, model, batch_size=batch).total_us
         return (emb + non_emb) / 1e3
 
-    return latency_ms
+    return LatencyCurve.tabulate(latency_ms)
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +159,7 @@ def linear_latency_model(
 # ----------------------------------------------------------------------
 def fleet_max_sustainable_qps(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     *,
     sla_ms: float,
     percentile: str = "p99",
@@ -235,7 +209,7 @@ def fleet_max_sustainable_qps(
 
 def replicas_needed(
     make_fleet: Callable[[int], FleetSpec],
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     *,
     qps: float,
     sla_ms: float,
@@ -264,7 +238,7 @@ def replicas_needed(
 
 def autoscaler_sweep(
     make_fleet: Callable[[int], FleetSpec],
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     *,
     qps_grid: Sequence[float],
     sla_ms: float,

@@ -26,10 +26,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.serving import (
-    LatencyModel,
+    CurveLike,
+    LatencyCurve,
     _next_batch,
-    _stream_arrays,
+    _stream_entry,
     poisson_arrivals,
+    resolve_curve,
 )
 from repro.fleet.report import (
     FleetReport,
@@ -45,14 +47,14 @@ class _ReplicaState:
     timeline, and the planned next batch."""
 
     __slots__ = (
-        "spec", "latency_ms", "times", "phase_ids", "n", "head",
+        "spec", "curve", "times", "phase_ids", "n", "head",
         "gpu_free", "next_start", "next_size",
         "batch_starts", "batch_exec", "batch_sizes",
     )
 
-    def __init__(self, spec: ReplicaSpec, latency_ms: LatencyModel) -> None:
+    def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
-        self.latency_ms = latency_ms
+        self.curve = curve
         # routed arrivals in arrival order, which FIFO batching keeps as
         # batch order: ``times[head:n]`` still wait, the rest are served
         self.times = np.empty(64)
@@ -76,7 +78,7 @@ class _ReplicaState:
             return
         start, self.next_size = _next_batch(
             self.times[:self.n], self.head, self.gpu_free,
-            self.latency_ms, self.spec.batching,
+            self.curve, self.spec.batching,
         )
         self.next_start = float(start)
 
@@ -86,7 +88,7 @@ class _ReplicaState:
         joins)."""
         while self.next_start <= now and self.head < self.n:
             size = self.next_size
-            exec_s = self.latency_ms(size) / 1e3
+            exec_s = self.curve.ms[size] / 1e3
             self.gpu_free = self.next_start + exec_s
             self.batch_starts.append(self.next_start)
             self.batch_exec.append(exec_s)
@@ -133,9 +135,9 @@ class _ReplicaState:
         max_batch = self.spec.batching.max_batch
         pending = self.queue_len() + 1
         full_batches, remainder = divmod(pending, max_batch)
-        work_ms = full_batches * self.latency_ms(max_batch)
+        work_ms = full_batches * self.curve.ms[max_batch]
         if remainder:
-            work_ms += self.latency_ms(remainder)
+            work_ms += self.curve.ms[remainder]
         return self.backlog_s(now) + work_ms / 1e3
 
 
@@ -237,10 +239,11 @@ def resolve_policy(policy: str | RoutingPolicy) -> RoutingPolicy:
 
 
 def resolve_latency_models(
-    fleet: FleetSpec, latency_models: Mapping[str, LatencyModel]
-) -> dict[str, LatencyModel]:
-    """Map each replica to its curve, by replica name or by GPU name."""
-    resolved = {}
+    fleet: FleetSpec, latency_models: Mapping[str, CurveLike]
+) -> dict[str, LatencyCurve]:
+    """Map each replica to its curve, by replica name or by GPU name;
+    a callable shared by several replicas is tabulated once."""
+    resolved, tabulated = {}, {}
     for replica in fleet.replicas:
         model = latency_models.get(replica.name) \
             or latency_models.get(replica.gpu.name)
@@ -249,13 +252,16 @@ def resolve_latency_models(
                 f"no latency model for replica {replica.name!r} "
                 f"(gpu {replica.gpu.name!r})"
             )
-        resolved[replica.name] = model
+        key = (id(model), replica.batching.max_batch)
+        if key not in tabulated:
+            tabulated[key] = resolve_curve(model, key[1])
+        resolved[replica.name] = tabulated[key]
     return resolved
 
 
 def _route_run(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     times: np.ndarray,
     phase_ids: np.ndarray,
     phases: tuple[str, ...],
@@ -294,7 +300,7 @@ def _route_run(
 
 def simulate_fleet(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     *,
     qps: float,
     duration_s: float = 10.0,
@@ -332,7 +338,7 @@ def simulate_fleet(
 
 def _simulate_fleet_stream_run(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     stream,
     *,
     policy: str | RoutingPolicy = "jsq",
@@ -342,35 +348,21 @@ def _simulate_fleet_stream_run(
     tenant: str | None = None,
 ) -> tuple[FleetReport, FleetRun]:
     """Route one scenario stream; package (report, run record)."""
-    times, phase_ids = _stream_arrays(stream)
     router = resolve_policy(policy)
-    phases = tuple(stream.phases)
-    meta = {
-        "kind": "fleet_stream",
-        "fleet": fleet.name,
-        "scenario": stream.name,
-        "policy": router.name,
-        "sla_ms": sla_ms,
-        "duration_s": stream.duration_s,
-        "cost_units": float(fleet.cost_units),
-        "phases": list(phases),
-        "phase_durations": [float(d) for d in stream.phase_durations],
-        "phase_hit_rates": (
-            None if phase_hit_rates is None
-            else [float(r) for r in phase_hit_rates]
-        ),
-    }
-    if tenant is not None:
-        meta["tenant"] = tenant
+    times, phase_ids, meta = _stream_entry(
+        stream, sla_ms, phase_hit_rates, tenant, kind="fleet_stream",
+        fleet=fleet.name, scenario=stream.name, policy=router.name,
+        cost_units=float(fleet.cost_units),
+    )
     return _route_run(
-        fleet, latency_models, times, phase_ids, phases, meta,
-        router=router, seed=seed,
+        fleet, latency_models, times, phase_ids, tuple(stream.phases),
+        meta, router=router, seed=seed,
     )
 
 
 def simulate_fleet_stream(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     stream,
     *,
     policy: str | RoutingPolicy = "jsq",
@@ -432,7 +424,7 @@ def _tenant_fleet(
 
 def _simulate_fleet_tenant_stream_runs(
     fleet: FleetSpec,
-    latency_models: Mapping[str, Mapping[str, LatencyModel]],
+    latency_models: Mapping[str, Mapping[str, CurveLike]],
     streams: Mapping[str, object],
     *,
     assignments: Mapping[str, Sequence[str]] | None = None,
@@ -460,7 +452,7 @@ def _simulate_fleet_tenant_stream_runs(
 
 def simulate_fleet_tenant_streams(
     fleet: FleetSpec,
-    latency_models: Mapping[str, Mapping[str, LatencyModel]],
+    latency_models: Mapping[str, Mapping[str, CurveLike]],
     streams: Mapping[str, object],
     *,
     assignments: Mapping[str, Sequence[str]] | None = None,

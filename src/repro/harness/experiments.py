@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config.gpu import A100_SXM4_80GB, H100_NVL
+from repro.config.gpu import A100_SXM4_80GB, H100_NVL, GpuSpec
 from repro.core.schemes import (
     BASE,
     L1DPF,
@@ -35,6 +35,7 @@ from repro.core.schemes import (
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
+    LatencyCurve,
     serve_stream,
 )
 from repro.datasets.analysis import coverage_curve
@@ -45,7 +46,7 @@ from repro.fleet import (
     fleet_max_sustainable_qps,
     simulate_fleet,
 )
-from repro.fleet.capacity import linear_latency_model, tiered_latency_model
+from repro.fleet.capacity import linear_latency_model
 from repro.gpusim.occupancy import max_regs_for_warps
 from repro.harness import paper_data as paper
 from repro.harness.context import ExperimentContext
@@ -69,7 +70,6 @@ from repro.traffic.scenario import (
 from repro.traffic.serve import (
     drift_phase_factors,
     memstore_drift_profile,
-    scaled_latency_models,
 )
 
 ExperimentFn = Callable[[ExperimentContext], ExperimentTable]
@@ -525,25 +525,31 @@ _FLEET_SLA_MS = 100.0
 _FLEET_DATASET = "med_hot"
 
 
-def _fleet_latency_models(ctx: ExperimentContext, scheme: Scheme):
-    """Per-GPU batch-latency curves from the context's memoized kernels.
+def _context_curve(
+    ctx: ExperimentContext, dataset: str, scheme: Scheme,
+    gpu: GpuSpec = A100_SXM4_80GB,
+) -> LatencyCurve:
+    """A batch-latency curve from the context's memoized kernels.
 
     The scaled simulation preserves per-SM work, so the embedding-stage
     time it reports corresponds to the model's full-chip batch size;
-    one calibrated point per GPU anchors a linear curve.
+    that one calibrated point anchors a linear curve.
     """
-    models = {}
-    for gpu in (A100_SXM4_80GB, H100_NVL):
-        emb_us = ctx.embedding_stage_us(
-            ctx.homogeneous_mix(_FLEET_DATASET), scheme, gpu_name=gpu.name
-        )
-        models[gpu.name] = linear_latency_model(
-            gpu,
-            emb_us=emb_us,
-            emb_batch=ctx.config.model.batch_size,
-            model=ctx.config.model,
-        )
-    return models
+    emb_us = ctx.embedding_stage_us(
+        ctx.homogeneous_mix(dataset), scheme, gpu_name=gpu.name
+    )
+    return linear_latency_model(
+        gpu, emb_us=emb_us, emb_batch=ctx.config.model.batch_size,
+        model=ctx.config.model,
+    )
+
+
+def _fleet_latency_models(ctx: ExperimentContext, scheme: Scheme):
+    """Per-GPU batch-latency curves for the fleet experiments."""
+    return {
+        gpu.name: _context_curve(ctx, _FLEET_DATASET, scheme, gpu)
+        for gpu in (A100_SXM4_80GB, H100_NVL)
+    }
 
 
 def fleet_serving(ctx: ExperimentContext) -> ExperimentTable:
@@ -643,15 +649,7 @@ def scenario_serving(
     comparison stays meaningful if the kernel calibration shifts.
     """
     scheme = RPF_L2P_OPTMT
-    emb_us = ctx.embedding_stage_us(
-        ctx.homogeneous_mix(_SCENARIO_DATASET), scheme
-    )
-    base_model = linear_latency_model(
-        A100_SXM4_80GB,
-        emb_us=emb_us,
-        emb_batch=ctx.config.model.batch_size,
-        model=ctx.config.model,
-    )
+    base_model = _context_curve(ctx, _SCENARIO_DATASET, scheme)
     fixed = BatchingPolicy()
     capacity_qps = fixed.max_batch / (base_model(fixed.max_batch) / 1e3)
     try:
@@ -673,7 +671,7 @@ def scenario_serving(
 
     if isinstance(spec, DriftSpec):
         factors = drift_phase_factors(spec, seed=ctx.config.seed)
-        latency_models = scaled_latency_models(base_model, factors)
+        latency_models = [base_model.scaled(f) for f in factors]
     else:
         latency_models = base_model
 
@@ -742,15 +740,7 @@ def memstore_sweep(ctx: ExperimentContext) -> ExperimentTable:
     scheme = OPTMT
     workload = ctx.workload()
     model = ctx.config.model
-    emb_us = ctx.embedding_stage_us(
-        ctx.homogeneous_mix(_MEMSTORE_DATASET), scheme
-    )
-    base_model = linear_latency_model(
-        A100_SXM4_80GB,
-        emb_us=emb_us,
-        emb_batch=model.batch_size,
-        model=model,
-    )
+    base_model = _context_curve(ctx, _MEMSTORE_DATASET, scheme)
     max_batch = model.batch_size
     capacity_qps = max_batch / (base_model(max_batch) / 1e3)
     qps = 0.5 * capacity_qps
@@ -789,8 +779,8 @@ def memstore_sweep(ctx: ExperimentContext) -> ExperimentTable:
         host_us_per_query = 1e6 * bytes_per_query / (
             link.bandwidth_gbps * 1e9
         )
-        return tier.hit_rate, host_us_per_query, tiered_latency_model(
-            base_model, host_us_per_query=host_us_per_query
+        return tier.hit_rate, host_us_per_query, base_model.plus_per_query(
+            host_us_per_query
         )
 
     # SLA anchored on the fully-resident run so goodput is comparable
@@ -925,11 +915,10 @@ def tenancy_zoo(ctx: ExperimentContext) -> ExperimentTable:
         solo_grant = arbitrate(
             _pressured_budget({t.name: curve}), {t.name: curve}
         )
-        solo_model = tiered_latency_model(
-            cal.latency_ms,
-            host_us_per_query=curve.host_us_per_query(
+        solo_model = cal.latency_ms.plus_per_query(
+            curve.host_us_per_query(
                 solo_grant.grant(t.name).granted_rows, link
-            ),
+            )
         )
         capacity = t.model.batch_size / (
             solo_model(t.model.batch_size) / 1e3
@@ -962,11 +951,10 @@ def tenancy_zoo(ctx: ExperimentContext) -> ExperimentTable:
         zoo_curves = {name: curves[name] for name in zoo.tenant_names}
         grant = arbitrate(_pressured_budget(zoo_curves), zoo_curves)
         models = {
-            name: tiered_latency_model(
-                calibrations[name].latency_ms,
-                host_us_per_query=zoo_curves[name].host_us_per_query(
+            name: calibrations[name].latency_ms.plus_per_query(
+                zoo_curves[name].host_us_per_query(
                     grant.grant(name).granted_rows, link
-                ),
+                )
             )
             for name in zoo.tenant_names
         }

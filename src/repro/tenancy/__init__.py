@@ -33,7 +33,6 @@ from repro.tenancy.share import (
     calibrate_tenant,
     calibrate_zoo,
     contention_factor,
-    shared_latency_model,
     simulate_zoo_fleet,
     simulate_zoo_serving,
     zoo_contention,
@@ -57,7 +56,6 @@ __all__ = [
     "contention_factor",
     "example_zoo",
     "rearbitrate_on_drift",
-    "shared_latency_model",
     "simulate_zoo_fleet",
     "simulate_zoo_serving",
     "stores_for_grants",

@@ -36,10 +36,14 @@ from repro.config.gpu import A100_SXM4_80GB, GpuSpec
 from repro.config.scale import SimScale
 from repro.core.embedding import kernel_workload, run_table_kernel
 from repro.core.serving import (
+    MAX_BATCH,
     BatchingPolicy,
     ContinuousBatching,
-    LatencyModel,
+    CurveLike,
+    LatencyCurve,
+    PhaseCurves,
     StreamReport,
+    _resolve_phase_models,
     _serve_tenant_stream_runs,
     fold_stream_report,
 )
@@ -133,7 +137,7 @@ class TenantCalibration:
     gpu_name: str
     demand: ShareDemand
     embedding_stage_us: float
-    latency_ms: LatencyModel = field(repr=False, compare=False)
+    latency_ms: LatencyCurve = field(repr=False, compare=False)
 
 
 def calibrate_tenant(
@@ -254,33 +258,6 @@ def zoo_effective_times(
     return times
 
 
-def shared_latency_model(
-    solo: LatencyModel, factor: float
-) -> LatencyModel:
-    """The solo curve under contention.  A factor of exactly 1.0
-    returns the solo callable itself, so a degenerate one-tenant zoo
-    is served by *the same function object* — bit-identical results,
-    not merely close ones."""
-    if factor < 1.0:
-        raise ValueError("contention factor must be >= 1.0")
-    if factor == 1.0:
-        return solo
-    return lambda batch: solo(batch) * factor
-
-
-def _scaled_models(latency_ms, factor: float):
-    """Apply a contention factor to a curve, a per-phase sequence of
-    curves, or a mapping of curves by phase name."""
-    if callable(latency_ms):
-        return shared_latency_model(latency_ms, factor)
-    if isinstance(latency_ms, Mapping):
-        return {
-            name: shared_latency_model(model, factor)
-            for name, model in latency_ms.items()
-        }
-    return [shared_latency_model(m, factor) for m in latency_ms]
-
-
 # ----------------------------------------------------------------------
 # zoo serving: one GPU, then the routed fleet
 # ----------------------------------------------------------------------
@@ -354,7 +331,7 @@ def fold_zoo_report(run: GroupRun) -> ZooReport:
 
 def simulate_zoo_serving(
     zoo: ZooSpec,
-    latency_models: Mapping[str, object],
+    latency_models: Mapping[str, PhaseCurves],
     *,
     demands: Mapping[str, ShareDemand] | None = None,
     streams: Mapping[str, ScenarioTrace] | None = None,
@@ -377,8 +354,8 @@ def simulate_zoo_serving(
     (``ShareDemand(1, 1)``) — the conservative worst case.
 
     A one-tenant zoo has no co-runners, its factor is exactly 1.0, and
-    the contended pass reuses the solo curve object — field-identical
-    to calling :func:`repro.core.serving.serve_stream` directly.
+    the contended pass is skipped — field-identical to calling
+    :func:`repro.core.serving.serve_stream` directly.
 
     Telemetry: one :class:`~repro.telemetry.events.GroupRun` (meta
     ``kind="zoo"`` carrying loads and contention factors, children =
@@ -414,7 +391,14 @@ def simulate_zoo_serving(
         runs = solo_runs
     else:
         contended = {
-            name: _scaled_models(latency_models[name], factors[name])
+            name: [
+                curve.scaled(factors[name])
+                for curve in _resolve_phase_models(
+                    latency_models[name], streams[name].phases,
+                    policies[name].max_batch
+                    if policies and name in policies else MAX_BATCH,
+                )
+            ]
             for name in zoo.tenant_names
         }
         _, runs = _serve_tenant_stream_runs(
@@ -480,7 +464,7 @@ def fold_zoo_fleet_report(run: GroupRun) -> ZooFleetReport:
 def simulate_zoo_fleet(
     zoo: ZooSpec,
     fleet: FleetSpec,
-    latency_models: Mapping[str, Mapping[str, LatencyModel]],
+    latency_models: Mapping[str, Mapping[str, CurveLike]],
     *,
     assignments: Mapping[str, Sequence[str]] | None = None,
     demands: Mapping[str, ShareDemand] | None = None,
@@ -552,10 +536,8 @@ def simulate_zoo_fleet(
     else:
         contended_models = {
             name: {
-                replica: shared_latency_model(
-                    model, factors[name].get(replica, 1.0)
-                )
-                for replica, model in resolve_latency_models(
+                replica: curve.scaled(factors[name].get(replica, 1.0))
+                for replica, curve in resolve_latency_models(
                     _tenant_fleet(fleet, assignments, name),
                     latency_models[name],
                 ).items()

@@ -26,7 +26,6 @@ from repro.traffic.serve import (
     MemstoreDriftProfile,
     drift_phase_factors,
     memstore_drift_profile,
-    scaled_latency_models,
     simulate_fleet_scenario,
     simulate_scenario_serving,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "generate_arrivals",
     "iter_arrivals",
     "memstore_drift_profile",
-    "scaled_latency_models",
     "scenario_profile",
     "simulate_fleet_scenario",
     "simulate_scenario_serving",

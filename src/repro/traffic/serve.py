@@ -11,9 +11,9 @@ changes the *workload* under the server, not the arrivals, so its
 phases need one batch-latency curve each.  :func:`drift_phase_factors`
 measures how much the kernel slows down as popularity drifts away from
 the pinned working set (re-using :class:`repro.core.drift.DriftModel`
-and the memoized kernel simulator), and :func:`scaled_latency_models`
-turns a base curve plus those factors into the per-phase models the
-serving layer accepts.  :func:`memstore_drift_profile` is the tiered
+and the memoized kernel simulator), and ``LatencyCurve.scaled`` turns
+a base curve plus those factors into the per-phase curves the serving
+layer accepts.  :func:`memstore_drift_profile` is the tiered
 counterpart: the table sits behind an HBM⇄host embedding store, and
 each phase yields both a latency factor (kernel + host-fetch time) and
 the cache's hit rate — optionally under a periodic cache-refresh
@@ -34,7 +34,8 @@ from repro.core.schemes import L2P_OPTMT, Scheme
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
-    LatencyModel,
+    CurveLike,
+    PhaseCurves,
     StreamReport,
     serve_stream,
 )
@@ -56,8 +57,7 @@ from repro.traffic.scenario import (
 
 def simulate_scenario_serving(
     spec: ScenarioSpec | ScenarioTrace,
-    latency_ms: LatencyModel | Sequence[LatencyModel]
-                | Mapping[str, LatencyModel],
+    latency_ms: PhaseCurves,
     *,
     policy: BatchingPolicy | ContinuousBatching | None = None,
     sla_ms: float | None = None,
@@ -84,7 +84,7 @@ def simulate_scenario_serving(
 
 def simulate_fleet_scenario(
     fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
+    latency_models: Mapping[str, CurveLike],
     spec: ScenarioSpec | ScenarioTrace,
     *,
     policy: str | RoutingPolicy = "jsq",
@@ -149,17 +149,6 @@ def drift_phase_factors(
         )
         times.append(result.kernel_time_us)
     return tuple(t / times[0] for t in times)
-
-
-def scaled_latency_models(
-    base_model: LatencyModel, factors: Sequence[float]
-) -> list[LatencyModel]:
-    """One latency curve per phase: the base curve scaled per factor."""
-
-    def scaled(factor: float) -> LatencyModel:
-        return lambda batch: base_model(batch) * factor
-
-    return [scaled(float(f)) for f in factors]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ import pytest
 
 from repro.config.gpu import A100_SXM4_80GB
 from repro.core.serving import (
+    MAX_BATCH,
     BatchingPolicy,
     ContinuousBatching,
-    interpolated_latency_model,
+    LatencyCurve,
     max_sustainable_qps,
     resolve_percentile_field,
     serve_stream,
@@ -15,6 +16,7 @@ from repro.core.serving import (
     simulate_serving,
 )
 from repro.fleet.router import (
+    simulate_fleet,
     simulate_fleet_stream,
     simulate_fleet_tenant_streams,
 )
@@ -26,23 +28,67 @@ def linear_model(batch):
     return 10.0 + 0.01 * batch
 
 
-class TestLatencyModel:
+class TestLatencyCurve:
     def test_interpolation(self):
-        model = interpolated_latency_model([512, 2048], [30.0, 90.0])
+        model = LatencyCurve.interpolated([512, 2048], [30.0, 90.0])
         assert model(512) == pytest.approx(30.0)
         assert model(1280) == pytest.approx(60.0)
         assert model(2048) == pytest.approx(90.0)
 
     def test_clamps_outside_range(self):
-        model = interpolated_latency_model([512, 2048], [30.0, 90.0])
+        model = LatencyCurve.interpolated([512, 2048], [30.0, 90.0])
         assert model(100) == pytest.approx(30.0)
-        assert model(10_000) == pytest.approx(90.0)
+        # the table ends at MAX_BATCH; past it there is no latency
+        with pytest.raises(ValueError, match="outside"):
+            model(10_000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            interpolated_latency_model([1, 2], [1.0])
+            LatencyCurve.interpolated([1, 2], [1.0])
         with pytest.raises(ValueError):
-            interpolated_latency_model([], [])
+            LatencyCurve.interpolated([], [])
+
+    @pytest.mark.parametrize("table, batch", [
+        ([1.0, np.nan, 3.0], 2),
+        ([np.inf], 1),
+        ([1.0, 2.0, -1.0], 3),
+        ([0.0, 1.0], 1),
+        ([1.0, 2.0, 2.0, 1.5], 4),
+    ], ids=["nan", "inf", "negative", "zero", "decreasing"])
+    def test_bad_table_names_first_batch_at_fault(self, table, batch):
+        with pytest.raises(ValueError, match=f"at batch {batch}\\b"):
+            LatencyCurve(table)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            LatencyCurve([])
+
+    def test_call_outside_table_raises(self):
+        curve = LatencyCurve([1.0, 2.0, 3.0])
+        assert curve.max_batch == 3
+        assert [curve(b) for b in (1, 2, 3)] == [1.0, 2.0, 3.0]
+        for bad in (0, 4, 2.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                curve(bad)
+
+    def test_tabulate_covers_max_batch(self):
+        curve = LatencyCurve.tabulate(linear_model)
+        assert curve.max_batch == MAX_BATCH
+        assert curve(MAX_BATCH) == linear_model(MAX_BATCH)
+        assert LatencyCurve.tabulate(linear_model, 8).max_batch == 8
+
+    def test_table_is_read_only(self):
+        curve = LatencyCurve([1.0, 2.0])
+        assert curve.ms == (0.0, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            curve.table_ms[0] = 5.0
+
+    def test_scaled_and_plus_per_query(self):
+        curve = LatencyCurve([1.0, 2.0])
+        assert curve.scaled(2.0).ms == (0.0, 2.0, 4.0)
+        assert curve.plus_per_query(500.0).ms == (0.0, 1.5, 3.0)
+        with pytest.raises(ValueError, match="batch 1"):
+            curve.scaled(0.0)
 
 
 class TestSimulateServing:
@@ -92,11 +138,23 @@ class TestSimulateServing:
         with pytest.raises(ValueError):
             BatchingPolicy(timeout_ms=-1)
 
+    def test_non_finite_timeout_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="timeout_ms"):
+                BatchingPolicy(timeout_ms=bad)
+
+    def test_non_integral_max_batch_rejected(self):
+        for policy in (BatchingPolicy, ContinuousBatching):
+            for bad in (2.5, 64.0, np.nan, True):
+                with pytest.raises(ValueError, match="max_batch"):
+                    policy(max_batch=bad)
+        assert BatchingPolicy(max_batch=np.int64(8)).max_batch == 8
+
 
 class TestSustainableQps:
     def test_faster_model_sustains_more(self):
-        slow = interpolated_latency_model([1, 2048], [40.0, 90.0])
-        fast = interpolated_latency_model([1, 2048], [20.0, 50.0])
+        slow = LatencyCurve.interpolated([1, 2048], [40.0, 90.0])
+        fast = LatencyCurve.interpolated([1, 2048], [20.0, 50.0])
         qps_slow, _ = max_sustainable_qps(
             slow, sla_ms=100.0, qps_grid=(1000, 4000, 16000, 64000),
         )
@@ -106,7 +164,7 @@ class TestSustainableQps:
         assert qps_fast >= qps_slow
 
     def test_impossible_sla_yields_zero(self):
-        model = interpolated_latency_model([1, 2048], [500.0, 900.0])
+        model = LatencyCurve.interpolated([1, 2048], [500.0, 900.0])
         qps, reports = max_sustainable_qps(
             model, sla_ms=10.0, qps_grid=(100, 1000),
         )
@@ -167,6 +225,9 @@ class TestContinuousBatching:
             ContinuousBatching(sla_ms=0.0)
         with pytest.raises(ValueError):
             ContinuousBatching(sla_ms=-5.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sla_ms"):
+                ContinuousBatching(sla_ms=bad)
         assert "continuous" in ContinuousBatching().label
 
     def test_dispatches_immediately_when_idle(self):
@@ -319,3 +380,59 @@ class TestStreamValidation:
             )
             with pytest.raises(ValueError, match="phase ids outside"):
                 serve(stream)
+
+    def test_non_positive_duration_rejected(self, serve):
+        with pytest.raises(ValueError, match="positive duration_s"):
+            serve(_SteadyStream([0.0, 0.1], duration_s=0.0))
+
+
+#: curves no entry point may accept, by what is wrong with them
+_BAD_CURVES = {
+    "nan": lambda b: np.nan,
+    "inf": lambda b: np.inf,
+    "negative": lambda b: -1.0,
+    "zero": lambda b: 0.0,
+    "decreasing": lambda b: 100.0 - 0.01 * b,
+}
+_POLICY = BatchingPolicy(max_batch=64, timeout_ms=2.0)
+_FLEET_64 = FleetSpec.homogeneous(A100_SXM4_80GB, 2, batching=_POLICY)
+_STREAM = _SteadyStream([0.0, 0.001, 0.002], duration_s=1.0)
+#: every curve entry point, fed one curve under a max_batch=64 batcher
+_CURVE_ENTRY_POINTS = {
+    "serve_stream": lambda curve: serve_stream(
+        curve, _STREAM, policy=_POLICY),
+    "simulate_serving": lambda curve: simulate_serving(
+        curve, qps=100, duration_s=0.1, policy=_POLICY),
+    "simulate_fleet_stream": lambda curve: simulate_fleet_stream(
+        _FLEET_64, {A100_SXM4_80GB.name: curve}, _STREAM),
+    "simulate_fleet": lambda curve: simulate_fleet(
+        _FLEET_64, {A100_SXM4_80GB.name: curve}, qps=100, duration_s=0.1),
+}
+
+
+@pytest.mark.parametrize("enter", list(_CURVE_ENTRY_POINTS.values()),
+                         ids=list(_CURVE_ENTRY_POINTS))
+class TestCurveValidation:
+    """Bad latency curves are rejected at every entry point."""
+
+    @pytest.mark.parametrize("bad", list(_BAD_CURVES))
+    def test_bad_curve_rejected(self, enter, bad):
+        with pytest.raises(ValueError, match="latency curve"):
+            enter(_BAD_CURVES[bad])
+
+    def test_curve_shorter_than_max_batch_rejected(self, enter):
+        short = LatencyCurve([1.0] * 63)
+        with pytest.raises(ValueError, match="fewer than max_batch=64"):
+            enter(short)
+
+
+class TestSlaValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_stream_entry_points_reject_bad_sla(self, bad):
+        with pytest.raises(ValueError, match="sla_ms"):
+            serve_stream(linear_model, _STREAM, policy=_POLICY, sla_ms=bad)
+        with pytest.raises(ValueError, match="sla_ms"):
+            simulate_fleet_stream(
+                _FLEET_64, {A100_SXM4_80GB.name: linear_model}, _STREAM,
+                sla_ms=bad,
+            )

@@ -1,5 +1,6 @@
 """Fleet capacity planning: sustainable QPS, replicas-needed, autoscaling."""
 
+import numpy as np
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
@@ -103,12 +104,13 @@ class TestAutoscalerSweep:
         assert len(sweep) == 3
 
 
-class TestLinearLatencyModel:
+class TestLinearLatencyCurve:
     def test_monotone_in_batch(self):
         model = linear_latency_model(
             A100_SXM4_80GB, emb_us=50_000.0, emb_batch=2048,
         )
-        assert model(512) < model(1024) < model(4096)
+        assert model(512) < model(1024) < model(2048)
+        assert np.all(np.diff(model.table_ms) > 0)
 
     def test_anchored_at_calibration_point(self):
         emb_us = 40_000.0

@@ -20,7 +20,11 @@ the space, from a fixed seed).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.serving import BatchingPolicy, ContinuousBatching
+from repro.core.serving import (
+    BatchingPolicy,
+    ContinuousBatching,
+    LatencyCurve,
+)
 from repro.fleet.placement import hetero_lpt_shard
 from repro.fleet.router import (
     JoinShortestQueuePolicy,
@@ -196,7 +200,7 @@ def test_jsq_never_picks_strictly_longer_queue(queue_lens, backlogs):
     for i, qlen in enumerate(queue_lens):
         state = _ReplicaState(
             ReplicaSpec(name=f"r{i}", gpu=A100_SXM4_80GB),
-            _MODELS[A100_SXM4_80GB.name],
+            LatencyCurve.tabulate(_MODELS[A100_SXM4_80GB.name]),
         )
         for k in range(qlen):
             state.enqueue(0.01 * k)

@@ -21,14 +21,13 @@ from repro.config.scale import TEST_SCALE
 from repro.core.embedding import kernel_workload, run_embedding_stage, \
     run_table_kernel
 from repro.core.schemes import BASE, OPTMT
-from repro.core.serving import ContinuousBatching
+from repro.core.serving import ContinuousBatching, LatencyCurve
 from repro.datasets.spec import HOTNESS_PRESETS
 from repro.fleet import (
     FleetSpec,
     place_tables_tiered,
     simulate_fleet,
     tiered_fleet_models,
-    tiered_latency_model,
 )
 from repro.memstore import HostLink, store_for_spec
 from repro.traffic import (
@@ -216,14 +215,15 @@ class TestDriftHitRate:
         dataclasses.asdict(report)
 
 
-def test_tiered_latency_model_wraps_curve():
-    base = lambda batch: 5.0 + 0.02 * batch
-    same = tiered_latency_model(base, host_us_per_query=0.0)
-    assert same is base
-    tiered = tiered_latency_model(base, host_us_per_query=50.0)
+def test_plus_per_query_adds_host_cost():
+    base = LatencyCurve.tabulate(lambda batch: 5.0 + 0.02 * batch)
+    assert base.plus_per_query(0.0).ms == base.ms
+    tiered = base.plus_per_query(50.0)
     assert tiered(100) == pytest.approx(base(100) + 5.0)
-    with pytest.raises(ValueError):
-        tiered_latency_model(base, host_us_per_query=-1.0)
+    # the same IEEE operations the per-batch wrapper used to perform
+    assert tiered(100) == base(100) + 50.0 * 100 / 1e3
+    with pytest.raises(ValueError, match=">= 0"):
+        base.plus_per_query(-1.0)
 
 
 def test_poisson_scenario_with_hit_rates():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.serving import LatencyCurve
+
 from repro.config.gpu import A100_SXM4_80GB
 from repro.tenancy import (
     ShareDemand,
@@ -9,7 +11,6 @@ from repro.tenancy import (
     ZooSpec,
     calibrate_tenant,
     contention_factor,
-    shared_latency_model,
     simulate_zoo_serving,
     zoo_contention,
 )
@@ -51,12 +52,14 @@ def test_zoo_contention_requires_loads():
     assert factors["b"] == pytest.approx(1.0)  # 0.5 + 0.5*1.0
 
 
-def test_shared_latency_model_identity_and_scaling():
-    assert shared_latency_model(_toy, 1.0) is _toy
-    scaled = shared_latency_model(_toy, 1.5)
-    assert scaled(100) == pytest.approx(1.5 * _toy(100))
-    with pytest.raises(ValueError, match=">= 1"):
-        shared_latency_model(_toy, 0.9)
+def test_scaled_curve_identity_and_scaling():
+    solo = LatencyCurve.tabulate(_toy)
+    # a factor of exactly 1.0 keeps every entry bit for bit
+    assert solo.scaled(1.0).ms == solo.ms
+    scaled = solo.scaled(1.5)
+    assert scaled(100) == _toy(100) * 1.5
+    with pytest.raises(ValueError, match="batch 1"):
+        solo.scaled(-1.0)
 
 
 def test_simulate_zoo_serving_requires_all_models():

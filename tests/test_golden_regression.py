@@ -26,11 +26,12 @@ from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
+    LatencyCurve,
     simulate_serving,
 )
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
-from repro.fleet import FleetSpec, simulate_fleet, tiered_latency_model
+from repro.fleet import FleetSpec, simulate_fleet
 from repro.memstore import HostLink, store_for_spec
 from repro.tenancy import (
     ShareDemand,
@@ -166,8 +167,8 @@ def _memstore_summary() -> dict:
     )
     tier = store.lookup(trace)
     host_us_per_query = tier.host_fetch_us / batch
-    tiered_model = tiered_latency_model(
-        _toy_model, host_us_per_query=host_us_per_query
+    tiered_model = LatencyCurve.tabulate(_toy_model).plus_per_query(
+        host_us_per_query
     )
 
     report = simulate_scenario_serving(
@@ -207,11 +208,10 @@ def _tenancy_summary() -> dict:
     base = {"med_hot": _toy_model, "high_hot": _fast_toy_model,
             "low_hot": _toy_model}
     models = {
-        name: tiered_latency_model(
-            base[name],
-            host_us_per_query=curves[name].host_us_per_query(
+        name: LatencyCurve.tabulate(base[name]).plus_per_query(
+            curves[name].host_us_per_query(
                 grant.grant(name).granted_rows, link
-            ),
+            )
         )
         for name in zoo.tenant_names
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
-from repro.core.serving import BatchingPolicy, ContinuousBatching
+from repro.core.serving import BatchingPolicy, ContinuousBatching, LatencyCurve
 from repro.fleet import FleetSpec
 from repro.traffic import (
     DriftSpec,
@@ -12,7 +12,6 @@ from repro.traffic import (
     StationarySpec,
     drift_phase_factors,
     generate_arrivals,
-    scaled_latency_models,
     scenario_profile,
     simulate_fleet_scenario,
     simulate_scenario_serving,
@@ -135,7 +134,8 @@ class TestDriftCalibration:
         assert factors[0] == pytest.approx(1.0)
         assert all(f > 0.5 for f in factors)
 
-    def test_scaled_models_scale(self):
-        models = scaled_latency_models(toy_model, (1.0, 2.0))
-        assert models[0](100) == pytest.approx(toy_model(100))
-        assert models[1](100) == pytest.approx(2 * toy_model(100))
+    def test_scaled_curves_scale(self):
+        base = LatencyCurve.tabulate(toy_model)
+        models = [base.scaled(f) for f in (1.0, 2.0)]
+        assert models[0](100) == toy_model(100)
+        assert models[1](100) == 2 * toy_model(100)
